@@ -3,13 +3,9 @@
 Two historical legs pin down what the engine sustains end to end (the
 deterministic algorithm at n=1024, the robust algorithm under adaptive
 pressure at n=2048).  The throughput sweep then runs EVERY registered
-algorithm on the token path and on its block backend over the *same*
-stream, recording edges/sec over the streaming passes; the colorings must
-be identical pairwise, and each case carries a speedup floor — ≥3x for
-the flagship ``robust`` and ``list_coloring`` cases (plus the n=16384
-deterministic leg's historical ≥5x), looser regression floors for the
-event-bound sketch baselines, and none for the single-pass trivial-work
-cases whose scan is materialization-bound either way.
+algorithm on its block backend, recording edges/sec over the streaming
+passes; every run must satisfy its declared guarantee report, and every
+algorithm except the ``naive`` strawman must output a proper coloring.
 
 Each sweep case additionally records the resolved ``kernel_tier`` and the
 per-kernel dispatch totals (calls + seconds, via ``measure_kernels``), and
@@ -43,37 +39,30 @@ from repro.obs.sysinfo import RssSampler as _RssSampler
 from repro.obs.sysinfo import rss_bytes as _rss_bytes
 from repro.streaming import FileSource, ShardedFileSource, write_edge_file
 
-#: CI's ``kernels`` job sets this to keep the sweep quick; sizes shrink
-#: and the block-vs-token speedup floors turn into record-only fields
-#: (timing ratios at toy sizes are noise, and the full-size bench-smoke
-#: job still enforces them on every push).
+#: CI's ``kernels`` job sets this to keep the sweep quick (sizes shrink).
 SMOKE = bool(os.environ.get("BENCH_S1_SMOKE"))
 
 THROUGHPUT_N = 512 if SMOKE else 16384
 THROUGHPUT_DELTA = 24
-SPEEDUP_FLOOR = 5.0
 
 #: One throughput case per registered algorithm:
-#: (algorithm, n, delta, config, block backend, graph family, speedup floor).
-#: Floors are ~half the locally measured speedups; None = record only.
+#: (algorithm, n, delta, config, block backend, graph family).
 THROUGHPUT_CASES = [
     ("deterministic", THROUGHPUT_N, THROUGHPUT_DELTA,
-     {"selection": "greedy_slack"}, "materialized", "random_max_degree",
-     SPEEDUP_FLOOR),
+     {"selection": "greedy_slack"}, "materialized", "random_max_degree"),
     ("list_coloring", 160, 6, {"prime_policy": "scaled"}, "materialized",
-     "random_max_degree", 3.0),
+     "random_max_degree"),
     ("robust", 512 if SMOKE else 2048, 16, {}, "materialized",
-     "random_max_degree", 3.0),
+     "random_max_degree"),
     ("robust_lowrandom", 512 if SMOKE else 1024, 16, {}, "materialized",
-     "random_max_degree", 2.0),
+     "random_max_degree"),
     ("cgs22", 512 if SMOKE else 1024, 16, {}, "materialized",
-     "random_max_degree", 2.0),
+     "random_max_degree"),
     ("acs22", 512 if SMOKE else 1024, 8, {}, "materialized",
-     "random_max_degree", 2.0),
-    ("naive", THROUGHPUT_N, THROUGHPUT_DELTA, {}, "file", "near_regular",
-     4.0),
+     "random_max_degree"),
+    ("naive", THROUGHPUT_N, THROUGHPUT_DELTA, {}, "file", "near_regular"),
     ("palette_sparsification", 512 if SMOKE else 4096, 16, {}, "file",
-     "near_regular", None),
+     "near_regular"),
 ]
 
 #: Compiled-tier legs (run only where numba is installed — CI's ``kernels``
@@ -287,55 +276,36 @@ def run_scale():
     ))
     rows.append(["robust Alg 2 (adaptive)", n, delta, game.extras["rounds"],
                  game.passes, "-", game.proper])
-    # Throughput sweep: token path vs block path for every registered
-    # algorithm, identical stream per pair.  Each case also records which
-    # kernel tier served it and where the dispatched kernel time went.
+    # Throughput sweep: every registered algorithm on its block backend.
+    # Each case also records which kernel tier served it and where the
+    # dispatched kernel time went.
     algorithms = {}
-    flagship_token_proper = flagship_block_proper = False
-    for algo, n, delta, config, backend, family, floor in THROUGHPUT_CASES:
-        per_backend = {}
+    for algo, n, delta, config, backend, family in THROUGHPUT_CASES:
         with measure_kernels() as kernel_timings:
-            for bk in ("tokens", backend):
-                per_backend[bk] = run(RunSpec(
-                    algorithm=algo, n=n, delta=delta, graph_seed=401,
-                    config=config, graph_family=family, stream_backend=bk,
-                    keep_coloring=True, validate=algo != "naive",
-                ))
-        token, block = per_backend["tokens"], per_backend[backend]
-        if algo == "deterministic":
-            flagship_token_proper = token.proper
-            flagship_block_proper = block.proper
-        for bk in ("tokens", backend):
-            result = per_backend[bk]
-            # The naive strawman legitimately outputs improper colorings
-            # (it repairs only against its bounded store); its rows check
-            # that both paths *measure the same* properness instead.
-            ok = (
-                result.proper
-                if algo != "naive"
-                else token.proper == block.proper
-            )
-            rows.append([f"{algo} [{bk}]", n, delta,
-                         result.extras["stream_edges"], result.passes,
-                         f"{result.extras['edges_per_sec']:.3e}", ok])
-        speedup = block.extras["edges_per_sec"] / token.extras["edges_per_sec"]
-        identical = token.coloring == block.coloring
-        rows.append([f"{algo} block speedup", n, delta, "-", "-",
-                     f"{speedup:.1f}x", identical])
+            result = run(RunSpec(
+                algorithm=algo, n=n, delta=delta, graph_seed=401,
+                config=config, graph_family=family, stream_backend=backend,
+                validate=algo != "naive", verify=True,
+            ))
+        # The naive strawman legitimately outputs improper colorings (it
+        # repairs only against its bounded store); its declared guarantee
+        # waives properness, and the guarantee report gates every case.
+        ok = result.extras["guarantees"]["ok"] and (
+            result.proper or algo == "naive"
+        )
+        rows.append([f"{algo} [{backend}]", n, delta,
+                     result.extras["stream_edges"], result.passes,
+                     f"{result.extras['edges_per_sec']:.3e}", ok])
         algorithms[algo] = {
             "n": n,
             "delta": delta,
             "block_backend": backend,
             "graph_family": family,
-            "edges": token.extras["stream_edges"],
-            "passes": token.passes,
-            "token_edges_per_sec": token.extras["edges_per_sec"],
-            "block_edges_per_sec": block.extras["edges_per_sec"],
-            "speedup": speedup,
-            "speedup_floor": None if SMOKE else floor,
-            "colorings_identical": identical,
-            "block_native": block.extras.get("block_native", False),
-            "kernel_tier": block.extras["kernel_tier"],
+            "edges": result.extras["stream_edges"],
+            "passes": result.passes,
+            "edges_per_sec": result.extras["edges_per_sec"],
+            "proper": result.proper,
+            "kernel_tier": result.extras["kernel_tier"],
             "kernels": {
                 name: {"calls": calls, "seconds": seconds}
                 for name, (calls, seconds) in sorted(kernel_timings.items())
@@ -347,24 +317,17 @@ def run_scale():
         "cases": run_compiled_leg(rows),
     }
     json_payload["sharded"] = run_sharded_leg(rows)
-    # Back-compat artifact fields: the flagship deterministic record.
+    # Back-compat artifact field: the flagship deterministic record.
     flagship = algorithms["deterministic"]
-    for bk_key, eps_key, proper in (
-        ("tokens", "token_edges_per_sec", flagship_token_proper),
-        ("materialized", "block_edges_per_sec", flagship_block_proper),
-    ):
-        json_payload["legs"].append({
-            "leg": f"throughput_{bk_key}",
-            "n": flagship["n"],
-            "delta": flagship["delta"],
-            "edges": flagship["edges"],
-            "passes": flagship["passes"],
-            "edges_per_sec": flagship[eps_key],
-            "proper": proper,
-        })
-    json_payload["speedup"] = flagship["speedup"]
-    json_payload["colorings_identical"] = flagship["colorings_identical"]
-    json_payload["speedup_floor"] = None if SMOKE else SPEEDUP_FLOOR
+    json_payload["legs"].append({
+        "leg": "throughput_materialized",
+        "n": flagship["n"],
+        "delta": flagship["delta"],
+        "edges": flagship["edges"],
+        "passes": flagship["passes"],
+        "edges_per_sec": flagship["edges_per_sec"],
+        "proper": flagship["proper"],
+    })
     headers = ["algorithm", "n", "delta", "edges", "passes", "edges/s", "ok"]
     return (headers, rows), json_payload
 
@@ -382,19 +345,12 @@ def test_s1_scale(benchmark, record_table, record_json):
     )
     expected_tier = "compiled" if compiled_available() else "numpy"
     for algo, record in payload["algorithms"].items():
-        assert record["colorings_identical"], algo
-        assert record["block_native"], algo
+        assert record["edges_per_sec"] > 0, algo
         assert record["kernel_tier"] == expected_tier, algo
         assert all(
             rec["calls"] > 0 and rec["seconds"] >= 0.0
             for rec in record["kernels"].values()
         ), algo
-        floor = record["speedup_floor"]
-        if floor is not None:
-            assert record["speedup"] >= floor, (
-                f"{algo}: block path sustained only {record['speedup']:.1f}x "
-                f"the token baseline (floor {floor}x)"
-            )
     sharded = payload["sharded"]
     assert set(sharded["algorithms"]) == set(SCALE_RSS_BUDGETS)
     assert sharded["m"] == sharded["n"] * sharded["k"]

@@ -24,11 +24,10 @@ self-contained machinery (DESIGN.md section 2.3):
   edges would exceed the space budget are deferred to extra passes, so the
   measured pass count is data dependent (reported by experiments T9).
 
-Block-path execution runs on the resumable pass machine of
-:mod:`repro.streaming.machine`: every cross-pass quantity (the selected
-``(a*, b*)``, the conflicted set, the round's bucket state) lives in
-``self._mach``, so runs are suspend/restorable at pass boundaries; the
-token path below is the unchanged reference implementation.
+Both run on the resumable pass machine of :mod:`repro.streaming.machine`:
+every cross-pass quantity (the selected ``(a*, b*)``, the conflicted set,
+the round's bucket state) lives in ``self._mach``, so runs are
+suspend/restorable at pass boundaries.
 """
 
 
@@ -36,21 +35,22 @@ import numpy as np
 
 from repro.common.exceptions import ReproError
 from repro.common.integer_math import ceil_div, ceil_log2, next_prime
-from repro.streaming.machine import PassConsumer, drive_blocks, require_machine
+from repro.streaming.machine import PassConsumer, require_machine
 from repro.streaming.model import MultipassStreamingAlgorithm
-from repro.streaming.source import StreamSource
-from repro.streaming.stream import TokenStream
-from repro.streaming.tokens import EdgeToken
 from repro.obs.clock import perf_now
 
 
 class _PartCountsConsumer(PassConsumer):
-    """Pass 1 (blocks): aggregate collision counts by edge difference.
+    """Pass 1: for each part ``a``, ``sum_b #monochromatic edges of h_{a,b}``.
 
-    The per-edge collision vector depends on the edge only through
-    ``(v - u) mod p``, so one ``bincount`` of differences per block
-    followed by a single (difference x part) reduction replaces the
-    per-edge ``O(p)`` update — exact int64 arithmetic throughout.
+    Closed form per edge and part: with ``d = a(v-u) mod p``, as ``b``
+    varies, ``t = h'(u)`` sweeps ``F_p`` and ``f(u) = t mod R`` collides
+    with ``f(v) = ((t+d) mod p) mod R`` for exactly
+    ``(p-d) * 1{R | d} + d * 1{R | (d-p)}`` values of ``t``.  The vector
+    depends on the edge only through ``(v - u) mod p``, so one
+    ``bincount`` of differences per block followed by a single
+    (difference x part) reduction replaces the per-edge ``O(p)`` update —
+    exact int64 arithmetic throughout.
     """
 
     def __init__(self, algo):
@@ -81,9 +81,9 @@ class _PartCountsConsumer(PassConsumer):
 
 
 class _MemberCountsConsumer(PassConsumer):
-    """Pass 2 (blocks): circular-interval difference counting.
+    """Pass 2: exact monochromatic-edge count of every ``h_{a*, b}``.
 
-    A member ``b`` sees edge ``(u, v)`` collide iff ``t = (a* u + b)
+    Circular-interval difference counting: a member ``b`` sees edge ``(u, v)`` collide iff ``t = (a* u + b)
     mod p`` lands in ``[0, p - d)`` with ``r | d``, or in ``[p - d, p)``
     with ``r | (d - p)`` (``d = a*(v - u) mod p``).  Edges with neither
     divisibility (the vast majority) contribute to no member at all;
@@ -125,7 +125,7 @@ class _MemberCountsConsumer(PassConsumer):
 
 
 class _MonoEdgesConsumer(PassConsumer):
-    """Pass 3 (blocks): the monochromatic edges of ``f`` -> conflicted set."""
+    """Pass 3: the monochromatic edges of ``f`` -> conflicted set."""
 
     def __init__(self, algo, a_star: int, b_star: int):
         self.algo = algo
@@ -148,7 +148,7 @@ class _MonoEdgesConsumer(PassConsumer):
 
 
 class _RepairAdjacencyConsumer(PassConsumer):
-    """Pass 4 (blocks): gather directed incidences, group by sort."""
+    """Pass 4: all edges incident to conflicted vertices, grouped by sort."""
 
     def __init__(self, algo, conflicted: set):
         self.conflicted = conflicted
@@ -185,7 +185,6 @@ class _RepairAdjacencyConsumer(PassConsumer):
 class TwoPassQuadraticColoring(MultipassStreamingAlgorithm):
     """Deterministic ``O(Delta^2)``-coloring in four streaming passes."""
 
-    supports_blocks = True
     supports_checkpoint = True
 
     def __init__(self, n: int, delta: int, range_multiplier: int = 4):
@@ -199,43 +198,7 @@ class TwoPassQuadraticColoring(MultipassStreamingAlgorithm):
         self.palette_size = self.range_size + delta + 1
 
     # ------------------------------------------------------------------
-    def _edge_list(self, stream):
-        for token in stream.new_pass():
-            if isinstance(token, EdgeToken):
-                yield token.u, token.v
-
-    def _part_collision_counts(self, stream) -> np.ndarray:
-        """Pass 1: for each part ``a``, ``sum_b #monochromatic edges of h_{a,b}``.
-
-        Closed form per edge and part: with ``d = a(v-u) mod p``, as ``b``
-        varies, ``t = h'(u)`` sweeps ``F_p`` and ``f(u) = t mod R`` collides
-        with ``f(v) = ((t+d) mod p) mod R`` for exactly
-        ``(p-d) * 1{R | d} + d * 1{R | (d-p)}`` values of ``t``.
-        """
-        p, r = self.p, self.range_size
-        a = np.arange(1, p, dtype=np.int64)
-        totals = np.zeros(p - 1, dtype=np.int64)
-        for u, v in self._edge_list(stream):
-            d = (a * ((v - u) % p)) % p
-            collide = (p - d) * (d % r == 0) + d * ((d - p) % r == 0)
-            totals += collide
-        self.meter.set_gauge("part accumulators", (p - 1) * 2 * ceil_log2(max(2, self.n)))
-        return totals
-
-    def _member_collision_counts(self, stream, a_star: int) -> np.ndarray:
-        """Pass 2: exact monochromatic-edge count of every ``h_{a*, b}``."""
-        p, r = self.p, self.range_size
-        b = np.arange(p, dtype=np.int64)
-        counts = np.zeros(p, dtype=np.int64)
-        for u, v in self._edge_list(stream):
-            t = (a_star * u + b) % p
-            fu = t % r
-            fv = ((t + a_star * ((v - u) % p)) % p) % r
-            counts += fu == fv
-        return counts
-
-    # ------------------------------------------------------------------
-    # pass machine (block path)
+    # pass machine
     # ------------------------------------------------------------------
     def blocks_start(self) -> None:
         self._mach = {"phase": "parts"}
@@ -306,52 +269,13 @@ class TwoPassQuadraticColoring(MultipassStreamingAlgorithm):
             coloring[x] = c
         return coloring
 
-    # ------------------------------------------------------------------
-    def run(self, stream: TokenStream) -> dict[int, int]:
-        if isinstance(stream, StreamSource):
-            return drive_blocks(self, stream)
-        n = self.n
-        parts = self._part_collision_counts(stream)
-        a_star = int(np.argmin(parts)) + 1
-        members = self._member_collision_counts(stream, a_star)
-        b_star = int(np.argmin(members))
-        self.meter.clear_gauge("part accumulators")
-
-        def f(x: int) -> int:
-            return ((a_star * x + b_star) % self.p) % self.range_size
-
-        # Pass 3: the monochromatic edges of f -> conflicted vertices.
-        conflicted: set[int] = set()
-        mono = 0
-        for u, v in self._edge_list(stream):
-            if f(u) == f(v):
-                conflicted.add(u)
-                conflicted.add(v)
-                mono += 1
-        self.meter.set_gauge("mono edges", mono * 2 * ceil_log2(max(2, n)))
-        # Pass 4: all edges incident to conflicted vertices.
-        adjacency = {v: set() for v in conflicted}
-        stored = 0
-        for u, v in self._edge_list(stream):
-            if u in conflicted:
-                adjacency[u].add(v)
-                stored += 1
-            if v in conflicted:
-                adjacency[v].add(u)
-                stored += 1
-        self.meter.set_gauge("repair edges", stored * 2 * ceil_log2(max(2, n)))
-        coloring = self._repair(a_star, b_star, conflicted, adjacency)
-        self.meter.clear_gauge("mono edges")
-        self.meter.clear_gauge("repair edges")
-        return coloring
-
 
 class _ReductionPassConsumer(PassConsumer):
     """One reduction pass: admit pending buckets, evict at the edge budget.
 
     The (state-independent) intra-bucket filter is vectorized per block;
-    the budget/eviction state machine on the surviving pairs is the
-    token path's, run sequentially in stream order.
+    the budget/eviction state machine on the surviving pairs runs
+    sequentially in stream order.
     """
 
     def __init__(self, algo, bucket_arr: np.ndarray, pending: set):
@@ -383,7 +307,6 @@ class _ReductionPassConsumer(PassConsumer):
 class ColorReductionColoring(MultipassStreamingAlgorithm):
     """Deterministic ``O(Delta)``-coloring via iterated palette halving."""
 
-    supports_blocks = True
     supports_checkpoint = True
 
     def __init__(self, n: int, delta: int, space_budget_edges=None):
@@ -402,7 +325,7 @@ class ColorReductionColoring(MultipassStreamingAlgorithm):
         return self.final_palette_bound
 
     # ------------------------------------------------------------------
-    # pass machine (block path): base stage, then reduction rounds
+    # pass machine: base stage, then reduction rounds
     # ------------------------------------------------------------------
     def blocks_start(self) -> None:
         self.base.blocks_start()
@@ -474,68 +397,6 @@ class ColorReductionColoring(MultipassStreamingAlgorithm):
             "new_coloring": dict(coloring),
             "bucket_arr": (color_arr - 1) // bucket_width,
         }
-
-    # ------------------------------------------------------------------
-    def run(self, stream: TokenStream) -> dict[int, int]:
-        if isinstance(stream, StreamSource):
-            return drive_blocks(self, stream)
-        n, delta = self.n, self.delta
-        coloring = self.base.run(stream)
-        # Merge the base meter so peak space reflects the whole pipeline.
-        self.meter.set_gauge("base stage peak", self.base.meter.peak_bits)
-        self.meter.clear_gauge("base stage peak")
-        palette = max(coloring.values())
-        while palette > self.final_palette_bound:
-            bucket_width = 2 * (delta + 1)
-            num_buckets = ceil_div(palette, bucket_width)
-
-            def bucket_of(color: int) -> int:
-                return (color - 1) // bucket_width
-
-            pending = set(range(num_buckets))
-            new_coloring = dict(coloring)
-
-            def intra_bucket_edges():
-                """One pass of ``((u, v), bucket)`` for same-bucket edges."""
-                for token in stream.new_pass():
-                    if not isinstance(token, EdgeToken):
-                        continue
-                    bu = bucket_of(coloring[token.u])
-                    if bu == bucket_of(coloring[token.v]):
-                        yield (token.u, token.v), bu
-
-            while pending:
-                # Admit every pending bucket, then evict whole buckets as
-                # the edge budget fills; evicted buckets retry next pass.
-                batch = set(pending)
-                stored_edges: dict[int, list[tuple[int, int]]] = {b: [] for b in batch}
-                stored = 0
-                for (u, v), bu in intra_bucket_edges():
-                    if bu not in batch:
-                        continue
-                    if stored >= self.space_budget_edges:
-                        batch.discard(bu)
-                        stored -= len(stored_edges.pop(bu, []))
-                        continue
-                    stored_edges[bu].append((u, v))
-                    stored += 1
-                self.meter.set_gauge(
-                    "reduction edges", stored * 2 * ceil_log2(max(2, n))
-                )
-                for b in batch:
-                    self._recolor_bucket(
-                        b, bucket_width, coloring, new_coloring, stored_edges[b]
-                    )
-                pending -= batch
-                if not batch:
-                    raise ReproError(
-                        "a single bucket exceeds the space budget; "
-                        "raise space_budget_edges"
-                    )
-            coloring = new_coloring
-            palette = ceil_div(palette, bucket_width) * (delta + 1)
-            self.meter.clear_gauge("reduction edges")
-        return coloring
 
     def _recolor_bucket(self, b, bucket_width, old, new, edges) -> None:
         """Greedy (Delta+1)-recoloring of one bucket's induced subgraph."""

@@ -40,7 +40,6 @@ from repro.streaming.model import OnePassAlgorithm
 class SketchSwitchingQuadraticColoring(OnePassAlgorithm):
     """[CGS22]-style robust ``O(Delta^2)``-coloring at the ``n sqrt(Delta)`` space point."""
 
-    supports_blocks = True
     # The per-vertex hash memo is re-derived from the stored coefficients.
     _snapshot_skip_ = ("_hash_cache",)
 

@@ -23,11 +23,8 @@ from repro.common.exceptions import AlgorithmFailure, ReproError
 from repro.common.integer_math import ceil_log2
 from repro.common.rng import SeededRng
 from repro.graph.graph import Graph
-from repro.streaming.machine import PassConsumer, drive_blocks, require_machine
+from repro.streaming.machine import PassConsumer, require_machine
 from repro.streaming.model import MultipassStreamingAlgorithm
-from repro.streaming.source import StreamSource
-from repro.streaming.stream import TokenStream
-from repro.streaming.tokens import EdgeToken
 from repro.obs.clock import perf_now
 
 
@@ -72,7 +69,6 @@ class _ConflictCollectConsumer(PassConsumer):
 class PaletteSparsificationColoring(MultipassStreamingAlgorithm):
     """Single-pass randomized ``(Delta+1)``-coloring for oblivious streams."""
 
-    supports_blocks = True
     supports_checkpoint = True
 
     def __init__(
@@ -99,20 +95,8 @@ class PaletteSparsificationColoring(MultipassStreamingAlgorithm):
         self.completion_attempts = completion_attempts
         self.conflict_edge_count = 0
 
-    def run(self, stream: TokenStream) -> dict[int, int]:
-        if isinstance(stream, StreamSource):
-            return drive_blocks(self, stream)
-        conflict = Graph(self.n)
-        for token in stream.new_pass():
-            if not isinstance(token, EdgeToken):
-                continue
-            u, v = token.u, token.v
-            if self.lists[u] & self.lists[v]:
-                conflict.add_edge(u, v)
-        return self._complete(conflict)
-
     # ------------------------------------------------------------------
-    # pass machine (block path): one collection pass, then completion
+    # pass machine: one collection pass, then completion
     # ------------------------------------------------------------------
     def blocks_start(self) -> None:
         self._mach = {"phase": "collect"}

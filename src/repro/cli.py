@@ -154,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="process-pool size for grid execution (default 1)")
     run.add_argument("--stream-backend", default=None, metavar="BACKEND",
                      help="data plane for every run of the experiment: "
-                     "tokens | materialized | generator | file | "
-                     "sharded_file (default: tokens)")
+                     "materialized | generator | file | sharded_file "
+                     "(default: materialized)")
     run.add_argument("--chunk-size", type=int, default=None, metavar="K",
                      help="edges per block for the block backends "
                      "(default 8192)")
@@ -203,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: random,degree_sorted,bfs,adversarial)")
     verify.add_argument("--chunk-sizes", default=None, metavar="LIST",
                         help="comma-separated block sizes to difference "
-                        "against the token path (default: 64,4096)")
+                        "against the chunk_size=1 reference run "
+                        "(default: 64,4096)")
     verify.add_argument("--n", type=int, default=64,
                         help="instance size per workload (default 64)")
     verify.add_argument("--seed", type=int, default=0)
@@ -759,11 +760,6 @@ def _run_trace_record(args) -> int:
         spec = RunSpec(
             algorithm=args.algorithm, n=args.n, delta=delta,
             seed=args.seed, graph_family=args.graph_family,
-            # Checkpointing needs a block source; materialized is the
-            # cheapest one and results are bit-identical across backends.
-            stream_backend=(
-                "materialized" if args.checkpoint_every is not None else None
-            ),
         )
         if args.checkpoint_every is not None:
             with tempfile.NamedTemporaryFile(suffix=".ck") as ck:
@@ -947,10 +943,12 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
         finally:
+            from repro.engine.runner import DEFAULT_STREAM_BACKEND
             from repro.streaming.source import DEFAULT_CHUNK_SIZE
 
             set_default_workers(1)
-            set_default_stream(backend="tokens", chunk_size=DEFAULT_CHUNK_SIZE)
+            set_default_stream(backend=DEFAULT_STREAM_BACKEND,
+                               chunk_size=DEFAULT_CHUNK_SIZE)
             set_default_kernel_tier("auto")
         print(format_table(headers, rows,
                            title=f"{args.experiment}: {description}"))

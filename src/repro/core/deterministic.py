@@ -25,15 +25,15 @@ Structure (Section 3.1-3.3):
 heuristic (1 pass per stage, no Lemma 3.5 guarantee) — see DESIGN.md,
 faithfulness note 1.
 
-The block path runs on the resumable pass machine of
+The algorithm runs on the resumable pass machine of
 :mod:`repro.streaming.machine`: every cross-pass quantity — the partial
 coloring, the uncolored set, the subcube PCCs, per-stage slack counters,
 the registered selector, the committed proposals — lives in ``self._mach``
 between passes (and is therefore snapshot-complete for
 ``repro.persist``); the intra-pass accumulators live in the three
 consumer classes below, rebuilt by deterministic replay on restore.  The
-token path is the unchanged reference implementation; the two are locked
-together by the block-equivalence suite.
+outputs are pinned to the retired token-at-a-time implementation by the
+golden corpus ``tests/golden/token_reference.json``.
 """
 
 from dataclasses import dataclass, field
@@ -52,11 +52,8 @@ from repro.core.subcube import Subcube
 from repro.graph.graph import Graph
 from repro.graph.independent_set import turan_independent_set
 from repro.kernels import dispatch
-from repro.streaming.machine import PassConsumer, drive_blocks, require_machine
+from repro.streaming.machine import PassConsumer, require_machine
 from repro.streaming.model import MultipassStreamingAlgorithm
-from repro.streaming.source import StreamSource
-from repro.streaming.stream import TokenStream
-from repro.streaming.tokens import EdgeToken
 from repro.obs.clock import perf_now
 
 
@@ -165,8 +162,8 @@ class _SlackPassConsumer(PassConsumer):
                 self.pending = 0
 
     def finish(self, stream):
-        # The deferred histogram replaces counting work the token path does
-        # inside its (timed) loop; charge it to the pass it belongs to.
+        # The deferred histogram is part of the pass's counting work;
+        # charge it to the pass it belongs to.
         n, delta = self.algo.n, self.algo.delta
         s, kk, fixed = self.s, self.kk, self.fixed
         reduce_start = perf_now()
@@ -188,13 +185,16 @@ class _SlackPassConsumer(PassConsumer):
 
 
 class _ConflictEdgesConsumer(PassConsumer):
-    """Block twin of :meth:`DeterministicColoring._collect_conflict_edges`.
+    """One pass listing the edges inside U whose endpoints' subcubes agree.
 
-    Returns the identical conflict-edge sequence as a ``(k, 2)`` array:
-    unique and in first-occurrence stream order, matching the token
-    path's list exactly.  Order matters — the selector accumulates
-    float potentials per edge, and near-ties under a different
-    summation order could flip the argmin.
+    These are exactly the edges contributing to the potential (eq. (2));
+    the selector consumes them to evaluate its accumulators.  The pass
+    itself only feeds accumulators of ``O(sqrt(|H|) log n)`` bits in the
+    paper's accounting; the edge list is a computational shortcut with
+    identical results (module docstring of selector.py).  Returned as a
+    ``(k, 2)`` array, unique and in first-occurrence stream order.  Order
+    matters — the selector accumulates float potentials per edge, and
+    near-ties under a different summation order could flip the argmin.
     """
 
     def __init__(self, algo, uncolored, cubes):
@@ -217,7 +217,7 @@ class _ConflictEdgesConsumer(PassConsumer):
 
         if not self.chunks:
             return np.empty((0, 2), dtype=np.int64)
-        # Deferred dedup mirrors the token path's (timed) in-loop seen-set.
+        # The deferred dedup is charged to the pass it belongs to.
         reduce_start = perf_now()
         edges = dedupe_edges(
             self.algo.n, np.concatenate(self.chunks), keep_order=True
@@ -227,11 +227,10 @@ class _ConflictEdgesConsumer(PassConsumer):
 
 
 class _FinalAdjacencyConsumer(PassConsumer):
-    """Block twin of the final-pass edge collection.
+    """Line 6: collect every edge incident to U.
 
-    Gathers the unique directed pairs ``(x, y)`` with ``x`` uncolored
-    (exactly what the token path's per-vertex sets hold), then groups
-    them into adjacency lists with one sort.
+    Gathers the unique directed pairs ``(x, y)`` with ``x`` uncolored,
+    then groups them into adjacency lists with one sort.
     """
 
     def __init__(self, algo, uncolored):
@@ -252,8 +251,7 @@ class _FinalAdjacencyConsumer(PassConsumer):
         adjacency: dict[int, list] = {x: [] for x in self.uncolored}
         if not self.chunks:
             return adjacency, 0
-        # Deferred grouping mirrors the token path's (timed) in-loop
-        # adjacency-set building.
+        # The deferred grouping is charged to the pass it belongs to.
         from repro.streaming.blocks import group_pairs
 
         n, unc = self.algo.n, self.unc
@@ -272,17 +270,11 @@ class _FinalAdjacencyConsumer(PassConsumer):
 class DeterministicColoring(MultipassStreamingAlgorithm):
     """Deterministic multipass ``(Delta+1)``-coloring (Theorem 1).
 
-    Consumes either data-plane view.  Given a :class:`TokenStream`, every
-    pass is the original token-at-a-time loop; given a
-    :class:`~repro.streaming.source.StreamSource`, the run executes on the
-    pass machine with the counting passes (slack counters, conflict-edge
-    collection, the end-of-epoch F pass, and the final stored-edges pass)
-    vectorized over ``(k, 2)`` edge blocks.  Both paths take the same
-    passes, charge the same :class:`SpaceMeter` gauges, and produce the
-    identical coloring (locked by the block-equivalence test suite).
+    Runs on the pass machine with the counting passes (slack counters,
+    conflict-edge collection, the end-of-epoch F pass, and the final
+    stored-edges pass) vectorized over ``(k, 2)`` edge blocks.
     """
 
-    supports_blocks = True
     supports_checkpoint = True
 
     def __init__(
@@ -313,30 +305,7 @@ class DeterministicColoring(MultipassStreamingAlgorithm):
         self.palette_size = delta + 1
 
     # ------------------------------------------------------------------
-    def run(self, stream: TokenStream) -> dict[int, int]:
-        if isinstance(stream, StreamSource):
-            return drive_blocks(self, stream)
-        n, delta = self.n, self.delta
-        chi: dict[int, int] = {v: None for v in range(n)}
-        if delta == 0:
-            for v in range(n):
-                chi[v] = 1
-            return chi
-        uncolored = set(range(n))
-        self.meter.set_gauge("partial coloring", n * (ceil_log2(delta + 2) + 1))
-        epoch = 0
-        while len(uncolored) * delta > n:
-            epoch += 1
-            if epoch > self.max_epochs:
-                break  # heuristic mode may stall; the final pass still finishes
-            self._run_epoch(stream, chi, uncolored, epoch)
-        self._final_pass(stream, chi, uncolored)
-        self.stats.passes = stream.passes_used
-        self.stats.epochs = epoch
-        return chi
-
-    # ------------------------------------------------------------------
-    # pass machine (block path)
+    # pass machine
     # ------------------------------------------------------------------
     def blocks_start(self) -> None:
         n, delta = self.n, self.delta
@@ -470,7 +439,7 @@ class DeterministicColoring(MultipassStreamingAlgorithm):
         mach["potential_before"] = None
         if self.instrument:
             mach["potential_before"] = self._measure_potential(
-                stream, mach["chi"], mach["uncolored"], mach["cubes"], slacks=None
+                stream, mach["chi"], mach["uncolored"], mach["cubes"]
             )
         if self.selection == "greedy_slack":
             proposals = {x: int(np.argmax(slacks[x])) for x in mach["members"]}
@@ -504,7 +473,7 @@ class DeterministicColoring(MultipassStreamingAlgorithm):
         self.meter.clear_gauge("stage counters")
         if self.instrument:
             potential_after = self._measure_potential(
-                stream, mach["chi"], mach["uncolored"], cubes, slacks=None
+                stream, mach["chi"], mach["uncolored"], cubes
             )
             self.stats.stage_stats.append(
                 StageStats(
@@ -554,17 +523,28 @@ class DeterministicColoring(MultipassStreamingAlgorithm):
         mach["phase"] = "epoch_check"
 
     def _deliver_final(self, result, stream) -> None:
-        """Line 6-7 epilogue: greedy-finish U from its stored adjacency."""
+        """Lines 6-7 epilogue: gauge the stored edges, first-fit U."""
         mach = self._mach
         adjacency, stored = result
         chi, uncolored = mach["chi"], mach["uncolored"]
-        self._finish_greedy(chi, uncolored, adjacency, stored)
+        self.meter.set_gauge(
+            "final edges", stored * 2 * ceil_log2(max(2, self.n))
+        )
+        palette = set(range(1, self.delta + 2))
+        for x in sorted(uncolored):
+            used_colors = {chi[y] for y in adjacency[x] if chi.get(y) is not None}
+            free = sorted(palette - used_colors)
+            if not free:
+                raise ReproError(f"final pass found no free color for vertex {x}")
+            chi[x] = free[0]
+        uncolored.clear()
+        self.meter.clear_gauge("final edges")
         self.stats.passes = stream.passes_used
         self.stats.epochs = mach["epoch"]
         self._mach = {"phase": "done", "coloring": chi}
 
     # ------------------------------------------------------------------
-    # block-path state snapshots (derived per pass; O(n) << O(m) scan cost)
+    # per-pass state snapshots (derived per pass; O(n) << O(m) scan cost)
     # ------------------------------------------------------------------
     def _state_arrays(self, chi, uncolored, cubes=None):
         from repro.graph.coloring import coloring_array
@@ -582,225 +562,28 @@ class DeterministicColoring(MultipassStreamingAlgorithm):
         return chi_arr, unc, cube_value
 
     # ------------------------------------------------------------------
-    # epoch logic (Algorithm 1, COLORING-EPOCH) — token path
-    # ------------------------------------------------------------------
-    def _run_epoch(self, stream, chi, uncolored, epoch) -> None:
-        n, delta = self.n, self.delta
-        b = ceil_log2(delta + 1)
-        k = 1 + floor_log2(max(1, n // len(uncolored)))
-        cubes = {x: Subcube.full(b) for x in uncolored}
-        self.meter.set_gauge("pcc", len(uncolored) * (b + ceil_log2(max(2, b)) + 1))
-        u_before = len(uncolored)
-        fixed = 0
-        stage_index = 0
-        while fixed < b:
-            stage_index += 1
-            kk = min(k, b - fixed)
-            self._run_stage(
-                stream, chi, uncolored, cubes, kk, epoch, stage_index
-            )
-            fixed += kk
-        # --- end-of-epoch pass: collect F (line 29) ---
-        proposals = {x: cubes[x].sole_color for x in uncolored}
-        conflict_edges = []
-        seen = set()
-        for token in stream.new_pass():
-            if not isinstance(token, EdgeToken):
-                continue
-            u, v = token.u, token.v
-            if u in uncolored and v in uncolored and proposals[u] == proposals[v]:
-                key = (min(u, v), max(u, v))
-                if key not in seen:
-                    seen.add(key)
-                    conflict_edges.append(key)
-        self.meter.set_gauge(
-            "epoch conflict edges F",
-            len(conflict_edges) * 2 * ceil_log2(max(2, n)),
-        )
-        # --- commit on a Turán independent set (lines 30-33) ---
-        members = sorted(uncolored)
-        index = {x: i for i, x in enumerate(members)}
-        conflict_graph = Graph(len(members))
-        for u, v in conflict_edges:
-            conflict_graph.add_edge(index[u], index[v])
-        independent = turan_independent_set(conflict_graph)
-        for i in independent:
-            x = members[i]
-            chi[x] = proposals[x]
-            uncolored.discard(x)
-        self.meter.clear_gauge("epoch conflict edges F")
-        self.meter.clear_gauge("pcc")
-        if self.instrument:
-            self.stats.epoch_stats.append(
-                EpochStats(
-                    epoch=epoch,
-                    uncolored_before=u_before,
-                    uncolored_after=len(uncolored),
-                    conflict_edges=len(conflict_edges),
-                    stages=stage_index,
-                )
-            )
-
-    # ------------------------------------------------------------------
-    # stage logic (Algorithm 1, lines 12-27) — token path
-    # ------------------------------------------------------------------
-    def _run_stage(
-        self, stream, chi, uncolored, cubes, kk, epoch, stage_index
-    ) -> None:
-        n, delta = self.n, self.delta
-        s = 1 << kk
-        members = sorted(uncolored)
-        # --- pass 1: slack counters (line 14) ---
-        self.meter.set_gauge(
-            "stage counters", len(members) * s * ceil_log2(max(2, delta + 2))
-        )
-        used = {x: np.zeros(s, dtype=np.int64) for x in members}
-        for token in stream.new_pass():
-            if not isinstance(token, EdgeToken):
-                continue
-            for x, y in ((token.u, token.v), (token.v, token.u)):
-                if x in uncolored:
-                    color = chi.get(y)
-                    if color is not None and cubes[x].contains(color):
-                        used[x][cubes[x].pattern_of(color, kk)] += 1
-        slacks = {}
-        for x in members:
-            base = np.array(
-                [cubes[x].subpattern_count(delta + 1, j, kk) for j in range(s)],
-                dtype=np.int64,
-            )
-            slacks[x] = np.maximum(0, base - used[x])
-        potential_before = None
-        if self.instrument:
-            potential_before = self._measure_potential(stream, chi, uncolored, cubes, slacks=None)
-        # --- selection ---
-        if self.selection == "greedy_slack":
-            proposals = {
-                x: int(np.argmax(slacks[x])) for x in members
-            }
-        else:
-            p = choose_family_prime(n, self.prime_policy, self.prime_override)
-            selector = SlackWeightedSelector(p, n, cid_space=s)
-            for x in members:
-                selector.register_vertex(x, np.arange(s), slacks[x])
-            self.meter.set_gauge("part accumulators", selector.accumulator_bits())
-            # --- pass 2: part sums over the sqrt(|H|) parts (lines 20-23) ---
-            conflict_edges = self._collect_conflict_edges(stream, uncolored, cubes)
-            part = selector.part_sums(conflict_edges)
-            a_star = int(np.argmin(part)) if len(conflict_edges) else 0
-            # --- pass 3: members of the best part (lines 24-26) ---
-            conflict_edges = self._collect_conflict_edges(stream, uncolored, cubes)
-            member = selector.member_sums(a_star, conflict_edges)
-            b_star = int(np.argmin(member)) if len(conflict_edges) else 0
-            proposals = {
-                x: selector.proposal_for(x, a_star, b_star) for x in members
-            }
-            self.meter.clear_gauge("part accumulators")
-        # --- tighten the PCC (line 27) ---
-        for x in members:
-            j = proposals[x]
-            if slacks[x][j] <= 0:
-                raise ReproError(
-                    f"stage selected a zero-slack pattern for vertex {x}; "
-                    "Lemma 3.6 invariant violated"
-                )
-            cubes[x] = cubes[x].restrict(j, kk)
-        self.meter.clear_gauge("stage counters")
-        if self.instrument:
-            potential_after = self._measure_potential(
-                stream, chi, uncolored, cubes, slacks=None
-            )
-            self.stats.stage_stats.append(
-                StageStats(
-                    epoch=epoch,
-                    stage=stage_index,
-                    k=kk,
-                    potential_before=potential_before,
-                    potential_after=potential_after,
-                    uncolored=len(uncolored),
-                )
-            )
-
-    # ------------------------------------------------------------------
-    def _collect_conflict_edges(self, stream, uncolored, cubes):
-        """One streaming pass listing edges inside U with equal subcubes.
-
-        These are exactly the edges contributing to the potential (eq. (2));
-        the selector consumes them to evaluate its accumulators.  The pass
-        itself only feeds accumulators of ``O(sqrt(|H|) log n)`` bits in the
-        paper's accounting; the edge list here is a computational shortcut
-        with identical results (module docstring of selector.py).
-        """
-        edges = []
-        seen = set()
-        for token in stream.new_pass():
-            if not isinstance(token, EdgeToken):
-                continue
-            u, v = token.u, token.v
-            if u in uncolored and v in uncolored and cubes[u] == cubes[v]:
-                key = (min(u, v), max(u, v))
-                if key not in seen:
-                    seen.add(key)
-                    edges.append(key)
-        return edges
-
-    # ------------------------------------------------------------------
-    def _final_pass(self, stream, chi, uncolored) -> None:
-        """Line 6-7: collect all edges incident to U, then finish greedily."""
-        adjacency = {x: set() for x in uncolored}
-        stored = 0
-        for token in stream.new_pass():
-            if not isinstance(token, EdgeToken):
-                continue
-            for x, y in ((token.u, token.v), (token.v, token.u)):
-                if x in uncolored and y not in adjacency.get(x, ()):
-                    adjacency[x].add(y)
-                    stored += 1
-        self._finish_greedy(chi, uncolored, adjacency, stored)
-
-    def _finish_greedy(self, chi, uncolored, adjacency, stored) -> None:
-        """Shared final-pass epilogue: gauge the store, first-fit U."""
-        n = self.n
-        self.meter.set_gauge("final edges", stored * 2 * ceil_log2(max(2, n)))
-        palette = set(range(1, self.delta + 2))
-        for x in sorted(uncolored):
-            used_colors = {chi[y] for y in adjacency[x] if chi.get(y) is not None}
-            free = sorted(palette - used_colors)
-            if not free:
-                raise ReproError(f"final pass found no free color for vertex {x}")
-            chi[x] = free[0]
-        uncolored.clear()
-        self.meter.clear_gauge("final edges")
-
-    # ------------------------------------------------------------------
-    def _measure_potential(self, stream, chi, uncolored, cubes, slacks) -> float:
+    def _measure_potential(self, stream, chi, uncolored, cubes) -> float:
         """Out-of-band diagnostic: Phi via Lemma 3.3 (sum of dconf(x)/s_x).
 
-        Reads the stream out-of-band (``tokens`` / ``iter_tokens``, not
-        ``new_pass``) so that instrumentation does not distort the pass
-        count.
+        Reads the stream out-of-band (``iter_items``, not ``new_pass``) so
+        that instrumentation does not distort the pass count.
         """
         dconf = {x: 0 for x in uncolored}
         used_total = {x: 0 for x in uncolored}
-        tokens = (
-            stream.iter_tokens()
-            if isinstance(stream, StreamSource)
-            else stream.tokens
-        )
-        for token in tokens:
-            if not isinstance(token, EdgeToken):
+        for item in stream.iter_items():
+            if not isinstance(item, np.ndarray):
                 continue
-            u, v = token.u, token.v
-            if u in uncolored and v in uncolored:
-                if cubes[u] == cubes[v]:
-                    dconf[u] += 1
-                    dconf[v] += 1
-            else:
-                for x, y in ((u, v), (v, u)):
-                    if x in uncolored:
-                        color = chi.get(y)
-                        if color is not None and cubes[x].contains(color):
-                            used_total[x] += 1
+            for u, v in item.tolist():
+                if u in uncolored and v in uncolored:
+                    if cubes[u] == cubes[v]:
+                        dconf[u] += 1
+                        dconf[v] += 1
+                else:
+                    for x, y in ((u, v), (v, u)):
+                        if x in uncolored:
+                            color = chi.get(y)
+                            if color is not None and cubes[x].contains(color):
+                                used_total[x] += 1
         phi = 0.0
         for x in uncolored:
             s_x = max(0, cubes[x].count_in_range(self.delta + 1) - used_total[x])

@@ -102,7 +102,6 @@ class RobustParameters:
 class RobustColoring(OnePassAlgorithm):
     """Adversarially robust ``O(Delta^{5/2})``-coloring (Algorithm 2)."""
 
-    supports_blocks = True
     # The stacked oracle tables are derived from _h/_g on first use;
     # snapshots carry the functions, not the stacks.
     _snapshot_skip_ = ("_h_table", "_g_table")

@@ -33,7 +33,6 @@ from repro.streaming.model import OnePassAlgorithm
 class LowRandomnessRobustColoring(OnePassAlgorithm):
     """Robust ``O(Delta^3)``-coloring within semi-streaming space incl. randomness."""
 
-    supports_blocks = True
     # The per-vertex hash memo is a simulation speedup re-derived from the
     # stored coefficients; snapshots drop it.
     _snapshot_skip_ = ("_hash_cache",)

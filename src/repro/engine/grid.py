@@ -128,7 +128,7 @@ def _execute_spec(spec, stream_defaults=None, edges_handle=None,
     ``stream_defaults`` carries the parent's ``(backend, chunk_size)``
     data-plane defaults into pool workers, which under spawn/forkserver
     start methods re-import the runner module and would otherwise fall
-    back to the token path silently; ``kernel_tier_default`` does the
+    back to the default data plane silently; ``kernel_tier_default`` does the
     same for the process-level kernel tier (:mod:`repro.kernels`).
 
     ``edges_handle`` names a :class:`~repro.streaming.shm.SharedEdgeArray`

@@ -2,10 +2,11 @@
 
 Every algorithm in this repository (the four paper algorithms and the four
 baselines) satisfies this structural protocol: it owns a
-:class:`~repro.common.space.SpaceMeter`, it can consume a
-:class:`~repro.streaming.stream.TokenStream` and return a total coloring,
-and it declares its palette bound (or ``None`` when the guarantee is only
-asymptotic).  The concrete method implementations live on the two abstract
+:class:`~repro.common.space.SpaceMeter`, it can consume a stream (a
+:class:`~repro.streaming.source.StreamSource`, or a
+:class:`~repro.streaming.stream.TokenStream` input read through its block
+view) and return a total coloring, and it declares its palette bound (or
+``None`` when the guarantee is only asymptotic).  The concrete method implementations live on the two abstract
 bases in :mod:`repro.streaming.model`; one-pass (adversarially robust)
 algorithms additionally expose ``process``/``query`` for the adaptive game,
 which :func:`repro.engine.run_game` drives.
@@ -19,6 +20,7 @@ at exactly one seam.
 from typing import Protocol, runtime_checkable
 
 from repro.common.space import SpaceMeter
+from repro.streaming.source import StreamSource
 from repro.streaming.stream import TokenStream
 
 __all__ = ["StreamingColorer"]
@@ -31,7 +33,7 @@ class StreamingColorer(Protocol):
     n: int
     meter: SpaceMeter
 
-    def color_stream(self, stream: TokenStream) -> dict[int, int]:
+    def color_stream(self, stream: StreamSource | TokenStream) -> dict[int, int]:
         """Consume the stream and return a total coloring ``vertex -> color``."""
         ...
 

@@ -33,10 +33,11 @@ from repro.streaming.source import (
     FileSource,
     GeneratorSource,
     StreamSource,
+    as_block_source,
     write_edge_file,
 )
 from repro.streaming.stream import TokenStream
-from repro.streaming.tokens import EdgeToken, ListToken
+from repro.streaming.tokens import ListToken
 import repro.obs as obs
 from repro.obs.clock import perf_now
 
@@ -52,13 +53,12 @@ __all__ = [
     "set_default_stream",
 ]
 
-#: Valid ``RunSpec.stream_backend`` values.  ``tokens`` is the legacy
-#: token-at-a-time path; the others construct block sources
-#: (``materialized`` in-memory, ``generator`` lazily regenerated each pass,
-#: ``file`` memory-mapped from a binary edge file written on the fly,
-#: ``sharded_file`` streamed from a multi-shard ``REPROED2`` container —
-#: the out-of-core plane, exercised here on temp-dir shards).
-STREAM_BACKENDS = ("tokens", "materialized", "generator", "file", "sharded_file")
+#: Valid ``RunSpec.stream_backend`` values.  Each constructs a block
+#: source: ``materialized`` in-memory, ``generator`` lazily regenerated
+#: each pass, ``file`` memory-mapped from a binary edge file written on
+#: the fly, ``sharded_file`` streamed from a multi-shard ``REPROED2``
+#: container (the out-of-core plane, exercised here on temp-dir shards).
+STREAM_BACKENDS = ("materialized", "generator", "file", "sharded_file")
 
 #: Valid ``RunSpec.graph_family`` values.  ``random_max_degree`` is the
 #: classic proposal-loop workload; ``near_regular`` is the vectorized
@@ -70,7 +70,8 @@ GRAPH_FAMILIES = ("random_max_degree", "near_regular")
 # ``stream_backend`` / ``chunk_size`` as None; the CLI's --stream-backend /
 # --chunk-size flags set them once instead of threading parameters through
 # every experiment signature (mirroring grid.set_default_workers).
-_default_stream_backend = "tokens"
+DEFAULT_STREAM_BACKEND = "materialized"
+_default_stream_backend = DEFAULT_STREAM_BACKEND
 _default_chunk_size = DEFAULT_CHUNK_SIZE
 
 
@@ -129,14 +130,13 @@ class RunSpec:
     whose registry entry sets ``needs_lists`` additionally get a random
     list assignment (``list_seed``) interleaved via ``stream_seed``.
 
-    ``stream_backend`` selects the data-plane view (see
-    :data:`STREAM_BACKENDS`): ``tokens`` is the legacy token-at-a-time
-    stream; ``materialized`` / ``generator`` / ``file`` construct chunked
-    block sources (``chunk_size`` edges per block) carrying the identical
-    edge sequence, so results are bit-for-bit equal across backends while
-    every registered algorithm runs its passes vectorized.  Leaving either
-    field as ``None`` uses the process defaults (:func:`set_default_stream`
-    — ``tokens`` / ``DEFAULT_CHUNK_SIZE`` unless the CLI overrode them).
+    ``stream_backend`` selects the block source (see
+    :data:`STREAM_BACKENDS`); every backend carries the identical edge
+    sequence in blocks of ``chunk_size`` edges, so results are bit-for-bit
+    equal across backends and chunk sizes.  Leaving either field as
+    ``None`` uses the process defaults (:func:`set_default_stream` —
+    ``materialized`` / ``DEFAULT_CHUNK_SIZE`` unless the CLI overrode
+    them).
     ``graph_family`` picks the workload generator (see
     :data:`GRAPH_FAMILIES`); ``near_regular`` is the numpy-built family
     for n >= 10^4 instances.
@@ -251,11 +251,11 @@ def _build_stream(spec: RunSpec, entry, config):
         )
 
     if entry.needs_lists:
-        if backend not in ("tokens", "materialized"):
+        if backend != "materialized":
             raise ReproError(
                 f"algorithm {entry.name!r} needs list tokens; the "
                 f"{backend!r} backend carries edges only "
-                "(use tokens or materialized)"
+                "(use materialized)"
             )
         graph = make_graph()
         universe = getattr(config, "universe", None) or 2 * (spec.delta + 1)
@@ -263,9 +263,7 @@ def _build_stream(spec: RunSpec, entry, config):
             graph, palette_size=universe, seed=spec.list_seed or 0
         )
         stream = stream_with_lists(graph, lists, seed=spec.stream_seed)
-        if backend == "materialized":
-            return stream.as_source(chunk_size)
-        return stream
+        return stream.as_source(chunk_size)
 
     def make_edges():
         """The family's sorted edge list, arranged into the stream order."""
@@ -322,22 +320,20 @@ def _build_stream(spec: RunSpec, entry, config):
         source._tmpdir = tmpdir  # tie the shards' lifetime to the source
         return source
 
-    stream = TokenStream(edge_tokens(make_edges()), spec.n)
-    if backend == "materialized":
-        return stream.as_source(chunk_size)
-    return stream
+    return TokenStream(edge_tokens(make_edges()), spec.n).as_source(chunk_size)
 
 
-def _graph_and_lists(stream: TokenStream) -> tuple[Graph, dict | None]:
-    """Reconstruct the validation graph (and lists) from the stream itself."""
+def _graph_and_lists(stream: StreamSource) -> tuple[Graph, dict]:
+    """Reconstruct the validation graph and lists from the stream itself."""
     graph = Graph(stream.n)
     lists: dict[int, frozenset] = {}
-    for token in stream.tokens:
-        if isinstance(token, EdgeToken):
-            graph.add_edge(token.u, token.v)
-        elif isinstance(token, ListToken):
-            lists[token.x] = token.colors
-    return graph, (lists or None)
+    for item in stream.iter_items():
+        if isinstance(item, ListToken):
+            lists[item.x] = item.colors
+        else:
+            for u, v in item.tolist():
+                graph.add_edge(u, v)
+    return graph, lists
 
 
 def _backend_label(stream) -> str:
@@ -358,73 +354,83 @@ def _backend_label(stream) -> str:
         return "generator"
     if isinstance(stream, MaterializedSource):
         return "materialized"
-    if isinstance(stream, StreamSource):
-        return type(stream).__name__
-    return "tokens"
+    return type(stream).__name__
 
 
 def _check_output(spec: RunSpec, stream, coloring, palette_bound, entry) -> bool:
     """Validate (or measure) the output coloring against the stream's graph.
 
-    Block sources validate vectorized, one block at a time (O(chunk_size)
-    memory — the full edge array is never concatenated); token streams and
-    list-coloring inputs go through the reconstructed :class:`Graph`.
-    Returns measured properness when ``spec.validate`` is false.
+    Edge-only inputs validate vectorized, one block at a time
+    (O(chunk_size) memory — the full edge array is never concatenated);
+    list-coloring inputs go through the reconstructed :class:`Graph` and
+    per-vertex lists.  Returns measured properness when ``spec.validate``
+    is false.
     """
     from repro.graph.coloring import coloring_array, first_monochromatic
 
-    if isinstance(stream, StreamSource):
-        if entry.needs_lists:
-            # List constraints need the reconstructed per-vertex lists:
-            # fall through to the Graph-based path via the shim.
-            stream = stream.as_token_stream()
-        else:
-            colors = coloring_array(stream.n, coloring)
-            if spec.validate:
-                validate_coloring_blocks(
-                    stream.n,
-                    np.empty((0, 2), dtype=np.int64),
-                    coloring,
-                    palette_size=palette_bound if entry.enforce_palette else None,
-                )  # totality + palette; edges checked block-by-block below
-                edge_total = 0
-                for item in stream.iter_items():
-                    if not isinstance(item, np.ndarray):
-                        continue
-                    edge_total += len(item)
-                    witness = first_monochromatic(colors, item)
-                    if witness is not None:
-                        raise ImproperColoringError(*witness)
-                # The sweep saw every edge; spare lazy sources a re-scan.
-                stream.note_edge_count(edge_total)
-                return True
-            if not bool((colors != 0).all()):
-                return False
-            edge_total = 0
-            for item in stream.iter_items():
-                if isinstance(item, np.ndarray):
-                    edge_total += len(item)
-                    if first_monochromatic(colors, item) is not None:
-                        return False
-            stream.note_edge_count(edge_total)
+    if entry.needs_lists:
+        graph, lists = _graph_and_lists(stream)
+        if spec.validate:
+            validate_coloring(
+                graph,
+                coloring,
+                palette_size=palette_bound if entry.enforce_palette else None,
+                lists=lists or None,
+            )
             return True
-    graph, lists = _graph_and_lists(stream)
+        return all(
+            coloring.get(v) is not None for v in range(graph.n)
+        ) and not monochromatic_edges(graph, coloring)
+    colors = coloring_array(stream.n, coloring)
     if spec.validate:
-        validate_coloring(
-            graph,
+        validate_coloring_blocks(
+            stream.n,
+            np.empty((0, 2), dtype=np.int64),
             coloring,
             palette_size=palette_bound if entry.enforce_palette else None,
-            lists=lists if entry.needs_lists else None,
-        )
+        )  # totality + palette; edges checked block-by-block below
+        edge_total = 0
+        for item in stream.iter_items():
+            if not isinstance(item, np.ndarray):
+                continue
+            edge_total += len(item)
+            witness = first_monochromatic(colors, item)
+            if witness is not None:
+                raise ImproperColoringError(*witness)
+        # The sweep saw every edge; spare lazy sources a re-scan.
+        stream.note_edge_count(edge_total)
         return True
-    return all(
-        coloring.get(v) is not None for v in range(graph.n)
-    ) and not monochromatic_edges(graph, coloring)
+    if not bool((colors != 0).all()):
+        return False
+    edge_total = 0
+    for item in stream.iter_items():
+        if isinstance(item, np.ndarray):
+            edge_total += len(item)
+            if first_monochromatic(colors, item) is not None:
+                return False
+    stream.note_edge_count(edge_total)
+    return True
+
+
+def _open_stream(spec: RunSpec, entry, config, stream):
+    """The run's block source: built from the spec, or the caller's stream.
+
+    A caller-supplied :class:`TokenStream` is an input format, adapted
+    once into its block view at the spec's chunk size.
+    """
+    if stream is None:
+        return _build_stream(spec, entry, config)
+    if stream.n != spec.n:
+        raise ReproError(
+            f"stream is over {stream.n} vertices but the spec "
+            f"says n={spec.n}"
+        )
+    return as_block_source(stream, _resolve_data_plane(spec)[1])
 
 
 def run(
     spec: RunSpec,
-    stream: TokenStream | None = None,
+    stream: TokenStream | StreamSource | None = None,
     registry: AlgorithmRegistry | None = None,
     *,
     checkpoint_every: int | None = None,
@@ -442,8 +448,7 @@ def run(
     (:class:`repro.persist.driver.ResumableRun`), writing a ``REPROCK1``
     snapshot to ``checkpoint_path`` every ``k`` blocks (and at every pass
     boundary); :func:`resume` continues such a run to an identical
-    result.  Requires a block-source data plane (``stream_backend`` of
-    ``materialized`` / ``generator`` / ``file``).
+    result.
     """
     registry = registry if registry is not None else REGISTRY
     entry = registry.get(spec.algorithm)
@@ -474,13 +479,7 @@ def run(
             return _note_run_result(run_span, result)
         config = entry.make_config(spec.config)
         owns_stream = stream is None
-        if stream is None:
-            stream = _build_stream(spec, entry, config)
-        elif stream.n != spec.n:
-            raise ReproError(
-                f"stream is over {stream.n} vertices but the spec "
-                f"says n={spec.n}"
-            )
+        stream = _open_stream(spec, entry, config, stream)
         try:
             return _note_run_result(
                 run_span, _run_on_stream(spec, entry, config, stream)
@@ -506,7 +505,7 @@ def _note_run_result(run_span, result):
 
 def resume(
     path,
-    stream: TokenStream | None = None,
+    stream: TokenStream | StreamSource | None = None,
     registry: AlgorithmRegistry | None = None,
     *,
     checkpoint_every: int | None = None,
@@ -583,11 +582,7 @@ def _package_result(
     hits = kernel_run_hits()
     if hits:
         extras["kernel_hits"] = hits
-    if isinstance(stream, StreamSource):
-        extras["chunk_size"] = stream.chunk_size
-        # True iff the algorithm consumed blocks natively (no token
-        # adapter): every registered algorithm does.
-        extras["block_native"] = bool(getattr(algo, "supports_blocks", False))
+    extras["chunk_size"] = stream.chunk_size
     pass_times = list(stream.pass_seconds[timings_before:])
     if pass_times:
         extras["pass_wall_times"] = [round(t, 6) for t in pass_times]

@@ -12,8 +12,7 @@ array-out kernels, each with two registered implementations:
   numba ``@njit(cache=True)`` twins that activate only when numba
   imports cleanly (``pip install -e .[compiled]``).
 
-Tier selection mirrors the engine's ``supports_blocks`` capability
-pattern: :class:`RunSpec`'s ``kernel_tier`` field (``"auto"`` |
+Tier selection: :class:`RunSpec`'s ``kernel_tier`` field (``"auto"`` |
 ``"numpy"`` | ``"compiled"``) resolves per run; ``"auto"`` takes the
 compiled tier when present, ``"compiled"`` raises :class:`ReproError`
 (CLI exit 2) when numba is absent.  Algorithm modules call

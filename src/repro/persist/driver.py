@@ -25,7 +25,6 @@ from dataclasses import asdict
 from repro.common.exceptions import CheckpointError, ReproError
 from repro.kernels import kernel_run_hits, use_kernel_tier
 from repro.persist.checkpoint import read_checkpoint, write_checkpoint
-from repro.streaming.source import StreamSource
 import repro.obs as obs
 from repro.obs.clock import perf_now
 
@@ -64,7 +63,7 @@ class ResumableRun:
 
     def __init__(self, spec, stream=None, registry=None):
         from repro.engine.registry import REGISTRY
-        from repro.engine.runner import _build_stream
+        from repro.engine.runner import _open_stream
 
         self.registry = registry if registry is not None else REGISTRY
         self.spec = spec
@@ -76,19 +75,7 @@ class ResumableRun:
             )
         self.config = self.entry.make_config(spec.config)
         self._owns_stream = stream is None
-        if stream is None:
-            stream = _build_stream(spec, self.entry, self.config)
-        elif stream.n != spec.n:
-            raise ReproError(
-                f"stream is over {stream.n} vertices but the spec says "
-                f"n={spec.n}"
-            )
-        if not isinstance(stream, StreamSource):
-            raise CheckpointError(
-                "checkpointable runs need a block source; set "
-                "stream_backend to materialized | generator | file "
-                "(the tokens plane has no block boundaries)"
-            )
+        stream = _open_stream(spec, self.entry, self.config, stream)
         self.stream = stream
         self.algo = self.entry.create(spec.n, spec.delta, spec.seed, self.config)
         if not getattr(self.algo, "supports_checkpoint", False):

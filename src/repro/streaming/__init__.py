@@ -2,19 +2,19 @@
 
 The paper's two settings are represented directly:
 
-- **Static multipass** (Section 3): a :class:`TokenStream` fixed in advance;
-  a :class:`MultipassStreamingAlgorithm` reads it with ``stream.new_pass()``
+- **Static multipass** (Section 3): a stream fixed in advance; a
+  :class:`MultipassStreamingAlgorithm` reads it with ``stream.new_pass()``
   as many times as it needs, and the stream counts the passes.
 - **Adversarial single-pass** (Section 4): a :class:`OnePassAlgorithm`
   exposes ``process(u, v)`` / ``query()``, and the game loop in
   :mod:`repro.adversaries` drives it against an adaptive adversary.
 
-The data plane has two interchangeable views (see DESIGN.md, "Data
-plane"): the token-at-a-time :class:`TokenStream` and the array-backed,
+There is one data plane (see DESIGN.md, "Data plane"): the array-backed,
 chunked :class:`StreamSource` (:class:`MaterializedSource`,
 :class:`GeneratorSource`, :class:`FileSource`,
 :class:`ShardedFileSource`), whose passes yield ``(k, 2)`` numpy edge
-blocks.  Pass counting and space accounting are identical on both.
+blocks.  The in-memory :class:`TokenStream` is an input format, read
+through its block view (:func:`as_block_source`).
 Inputs too large for one file live in the sharded ``REPROED2`` container
 (see DESIGN.md, "Sharded edge container").
 """
@@ -35,6 +35,7 @@ from repro.streaming.source import (
     MaterializedSource,
     SourceTokenStream,
     StreamSource,
+    as_block_source,
     as_edge_blocks,
     iter_edge_blocks,
     read_edge_file_header,
@@ -58,6 +59,7 @@ __all__ = [
     "StreamSource",
     "TOKEN_MATERIALIZE_LIMIT",
     "TokenStream",
+    "as_block_source",
     "as_edge_blocks",
     "edge_tokens",
     "iter_edge_blocks",

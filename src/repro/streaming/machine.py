@@ -18,8 +18,8 @@ accumulators live in a throwaway :class:`PassConsumer`:
   happen here (or in ``blocks_start``), never in ``blocks_consumer``;
 - ``blocks_result()`` — the final coloring.
 
-:func:`drive_blocks` is the plain, non-checkpointing driver used by
-``color_stream`` on block sources; :class:`repro.persist.driver.
+:func:`drive_blocks` is the plain, non-checkpointing driver behind every
+algorithm's ``run``/``color_stream``; :class:`repro.persist.driver.
 ResumableRun` is the checkpointing twin, snapshotting between
 ``blocks_deliver`` and the next pass.  Suspend/restore fidelity:
 
@@ -35,6 +35,7 @@ ResumableRun` is the checkpointing twin, snapshotting between
 import numpy as np
 
 from repro.common.exceptions import CheckpointError
+from repro.streaming.source import as_block_source
 
 __all__ = ["OnePassStreamConsumer", "PassConsumer", "drive_blocks"]
 
@@ -81,7 +82,13 @@ def require_machine(algo) -> dict:
 
 
 def drive_blocks(algo, stream) -> dict:
-    """Run an algorithm's pass machine over a block source to completion."""
+    """Run an algorithm's pass machine over a stream to completion.
+
+    A :class:`~repro.streaming.stream.TokenStream` is read through its
+    block view (``as_source()``), which shares its pass counter and
+    per-token observer.
+    """
+    stream = as_block_source(stream)
     algo.blocks_start()
     while True:
         consumer = algo.blocks_consumer()

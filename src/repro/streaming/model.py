@@ -5,11 +5,13 @@ interfaces exist so the experiment harness, the adversarial game loop, and
 the communication-protocol reduction can treat algorithms uniformly.
 
 Both base classes implement the :class:`repro.engine.StreamingColorer`
-protocol: :meth:`color_stream` consumes a :class:`TokenStream` and returns
-a total coloring, and :attr:`palette_bound` exposes the declared palette
-size (``None`` when the algorithm only guarantees an asymptotic shape).
-The engine's :func:`repro.engine.run` entry point drives algorithms only
-through that protocol.
+protocol: :meth:`color_stream` consumes a stream and returns a total
+coloring, and :attr:`palette_bound` exposes the declared palette size
+(``None`` when the algorithm only guarantees an asymptotic shape).  There
+is one execution path: every static-stream run drives the algorithm's pass
+machine (:mod:`repro.streaming.machine`) over edge blocks.  A
+:class:`~repro.streaming.stream.TokenStream` is an input format only; it
+is read through its block view.
 """
 
 import abc
@@ -19,13 +21,10 @@ import numpy as np
 from repro.common.exceptions import CheckpointError
 from repro.common.space import SpaceMeter
 from repro.streaming.machine import OnePassStreamConsumer, drive_blocks, require_machine
-from repro.streaming.source import StreamSource
-from repro.streaming.stream import TokenStream
-from repro.streaming.tokens import EdgeToken
 
 
 class SnapshotableAlgorithm:
-    """The ``Snapshotable`` protocol: full algorithm state as plain data.
+    """Shared base: the ``Snapshotable`` protocol and the single run path.
 
     ``state_dict()`` captures *every* run-relevant attribute — RNG draw
     positions, sketch tables, slack counters, buffers, pass-machine
@@ -34,14 +33,20 @@ class SnapshotableAlgorithm:
     freshly constructed instance (same class, same constructor
     parameters) bit for bit.  Derived caches named in ``_snapshot_skip_``
     are excluded and rebuilt by ``_snapshot_init_``.
+
+    :meth:`run` is the one way an algorithm consumes a static stream:
+    :func:`~repro.streaming.machine.drive_blocks` over the pass machine.
     """
 
     #: Attribute names excluded from snapshots (derived caches).
     _snapshot_skip_: tuple = ()
 
-    #: True once the class's block path runs on the resumable pass
-    #: machine, i.e. suspend/restore at block boundaries is supported.
+    #: True once the class runs on the resumable pass machine, i.e.
+    #: suspend/restore at block boundaries is supported.
     supports_checkpoint = False
+
+    def __init__(self):
+        self.meter = SpaceMeter()
 
     def _snapshot_init_(self) -> None:
         """Rebuild the ``_snapshot_skip_`` caches after a restore."""
@@ -58,62 +63,13 @@ class SnapshotableAlgorithm:
 
         restore_object(self, state, arrays)
 
+    def run(self, stream) -> dict[int, int]:
+        """Process the stream and return a total coloring ``vertex -> color``."""
+        return drive_blocks(self, stream)
+
     def blocks_result(self) -> dict[int, int]:
         """The completed pass machine's coloring."""
         return require_machine(self)["coloring"]
-
-
-class MultipassStreamingAlgorithm(SnapshotableAlgorithm, abc.ABC):
-    """A (possibly multipass) algorithm over a fixed :class:`TokenStream`.
-
-    Subclasses implement :meth:`run`, reading the stream only via
-    ``stream.new_pass()`` and charging ``self.meter`` for state.
-
-    :meth:`run` accepts either data-plane view: a token stream (one
-    ``EdgeToken``/``ListToken`` per item) or a
-    :class:`~repro.streaming.source.StreamSource` (numpy ``(k, 2)`` edge
-    blocks, list tokens interleaved in place).  Every algorithm in the
-    registry consumes blocks natively (:attr:`supports_blocks` is true) and
-    produces bit-identical output on both views; the legacy token
-    adaptation in :meth:`color_stream` remains only as the contract
-    fallback for third-party subclasses that never vectorized.
-    """
-
-    #: True when ``run`` consumes StreamSource blocks natively (all
-    #: registered algorithms).  False falls back to token adaptation.
-    supports_blocks = False
-
-    def __init__(self):
-        self.meter = SpaceMeter()
-
-    @abc.abstractmethod
-    def run(self, stream: TokenStream) -> dict[int, int]:
-        """Process the stream and return a total coloring ``vertex -> color``."""
-
-    def color_stream(self, stream) -> dict[int, int]:
-        """Protocol entry point: :meth:`run`, adapting block sources if needed."""
-        if isinstance(stream, StreamSource) and not self.supports_blocks:
-            stream = stream.as_token_stream()
-        return self.run(stream)
-
-    # -- pass-machine protocol (repro.streaming.machine) ----------------
-    # Multipass algorithms implement these to run their block path as a
-    # resumable state machine; the default raises so that only audited
-    # classes claim checkpoint support.
-    def blocks_start(self) -> None:
-        raise CheckpointError(
-            f"{type(self).__name__} does not implement the pass machine"
-        )
-
-    def blocks_consumer(self):
-        raise CheckpointError(
-            f"{type(self).__name__} does not implement the pass machine"
-        )
-
-    def blocks_deliver(self, result, stream) -> None:
-        raise CheckpointError(
-            f"{type(self).__name__} does not implement the pass machine"
-        )
 
     @property
     def palette_bound(self):
@@ -131,6 +87,38 @@ class MultipassStreamingAlgorithm(SnapshotableAlgorithm, abc.ABC):
         return self.meter.random_bits
 
 
+class MultipassStreamingAlgorithm(SnapshotableAlgorithm, abc.ABC):
+    """A (possibly multipass) algorithm over a fixed stream.
+
+    Subclasses implement the pass-machine protocol below, reading the
+    stream only through the consumers it hands out and charging
+    ``self.meter`` for state.
+    """
+
+    def color_stream(self, stream) -> dict[int, int]:
+        """Protocol entry point: :meth:`run`."""
+        return self.run(stream)
+
+    # -- pass-machine protocol (repro.streaming.machine) ----------------
+    # Multipass algorithms implement these to run as a resumable state
+    # machine; the default raises so that only audited classes claim
+    # checkpoint support.
+    def blocks_start(self) -> None:
+        raise CheckpointError(
+            f"{type(self).__name__} does not implement the pass machine"
+        )
+
+    def blocks_consumer(self):
+        raise CheckpointError(
+            f"{type(self).__name__} does not implement the pass machine"
+        )
+
+    def blocks_deliver(self, result, stream) -> None:
+        raise CheckpointError(
+            f"{type(self).__name__} does not implement the pass machine"
+        )
+
+
 class OnePassAlgorithm(SnapshotableAlgorithm, abc.ABC):
     """A single-pass algorithm playing the adversarial game of Section 2.
 
@@ -139,19 +127,14 @@ class OnePassAlgorithm(SnapshotableAlgorithm, abc.ABC):
     a proper coloring of all edges processed so far.
 
     :meth:`process_block` is the batched twin of :meth:`process`: a
-    ``(k, 2)`` array of insertions, consumed in order.  The default
-    implementation is the scalar loop, so the contract is always satisfied;
-    subclasses with a vectorized implementation override it (and set
-    :attr:`supports_blocks`) with bit-identical state evolution, which both
-    the static driver and the batched adversarial game rely on.
+    ``(k, 2)`` array of insertions, consumed in order.  Every registered
+    algorithm overrides it with a vectorized implementation whose state
+    evolution is bit-identical to the scalar loop, which both the static
+    driver and the batched adversarial game rely on; the scalar
+    :meth:`process` remains the adaptive game's per-edge model.
     """
 
-    #: True when :meth:`process_block` is vectorized (all registered
-    #: algorithms); the default scalar loop leaves it False.
-    supports_blocks = False
-
-    def __init__(self):
-        self.meter = SpaceMeter()
+    supports_checkpoint = True
 
     @abc.abstractmethod
     def process(self, u: int, v: int) -> None:
@@ -176,23 +159,14 @@ class OnePassAlgorithm(SnapshotableAlgorithm, abc.ABC):
 
         This is the static-stream (oblivious) driver; the adaptive setting
         goes through :func:`repro.adversaries.run_adversarial_game` instead.
-        Block sources are fed through :meth:`process_block` block by block
-        — the same edge order as the token path, vectorized whenever the
-        algorithm overrides it — via the generic one-pass pass machine, so
-        every one-pass algorithm is suspend/restorable at any block
-        boundary for free (its whole state lives in object attributes
-        between ``process_block`` calls).
+        Blocks are fed through :meth:`process_block` by the generic
+        one-pass pass machine, so every one-pass algorithm is
+        suspend/restorable at any block boundary for free (its whole state
+        lives in object attributes between ``process_block`` calls).
         """
-        if isinstance(stream, StreamSource):
-            return drive_blocks(self, stream)
-        for token in stream.new_pass():
-            if isinstance(token, EdgeToken):
-                self.process(token.u, token.v)
-        return self.query()
+        return self.run(stream)
 
     # -- pass-machine protocol: one streaming pass, then query ----------
-    supports_checkpoint = True
-
     def blocks_start(self) -> None:
         self._mach = {"phase": "stream"}
 
@@ -207,18 +181,3 @@ class OnePassAlgorithm(SnapshotableAlgorithm, abc.ABC):
             # query() may mutate state (e.g. in-place conflict repair), so
             # its outcome is computed exactly once, here.
             self._mach = {"phase": "done", "coloring": self.query()}
-
-    @property
-    def palette_bound(self):
-        """Declared palette size, or ``None`` if only asymptotic."""
-        return getattr(self, "palette_size", None)
-
-    @property
-    def peak_space_bits(self) -> int:
-        """Peak working-state bits charged to the meter."""
-        return self.meter.peak_bits
-
-    @property
-    def random_bits_used(self) -> int:
-        """Random bits consumed so far (oracle + seeds)."""
-        return self.meter.random_bits

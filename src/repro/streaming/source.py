@@ -1,17 +1,17 @@
 """Array-backed, chunked stream sources: the block data plane.
 
-A :class:`StreamSource` is the high-throughput complement to
-:class:`~repro.streaming.stream.TokenStream`: one streaming pass yields
-numpy edge *blocks* — ``(k, 2)`` int64 arrays of up to ``chunk_size`` edges
-— instead of one Python object per edge.  List-coloring inputs interleave
-:class:`ListToken` items between blocks, preserving the Theorem 2 "any
-order" contract exactly.
+A :class:`StreamSource` is the one data plane every algorithm reads: one
+streaming pass yields numpy edge *blocks* — ``(k, 2)`` int64 arrays of up
+to ``chunk_size`` edges — instead of one Python object per edge.
+List-coloring inputs interleave :class:`ListToken` items between blocks,
+preserving the Theorem 2 "any order" contract exactly.  An in-memory
+:class:`~repro.streaming.stream.TokenStream` is an input format, read
+through :func:`as_block_source`.
 
-The pass/space model is untouched by the representation change: a source
-counts passes exactly like a token stream (one ``new_pass()`` = one pass,
-whatever the chunk size), and algorithms charge their :class:`SpaceMeter`
-identically on both paths.  See DESIGN.md, section "Data plane", for the
-faithfulness argument.
+The pass/space model is untouched by the representation: a source counts
+passes exactly like a token stream (one ``new_pass()`` = one pass,
+whatever the chunk size), and results are bit-identical at every chunk
+size.  See DESIGN.md, section "Data plane", for the faithfulness argument.
 
 Three concrete sources:
 
@@ -53,6 +53,7 @@ __all__ = [
     "SourceTokenStream",
     "StreamSource",
     "TOKEN_MATERIALIZE_LIMIT",
+    "as_block_source",
     "as_edge_blocks",
     "iter_edge_blocks",
     "read_edge_file_header",
@@ -135,6 +136,19 @@ def iter_edge_blocks(edges, chunk_size: int = DEFAULT_CHUNK_SIZE):
         yield from as_edge_blocks(itertools.chain([first], it), chunk_size)
 
 
+def as_block_source(stream, chunk_size=None) -> "StreamSource":
+    """The block view of any stream.
+
+    A :class:`StreamSource` passes through unchanged; a
+    :class:`~repro.streaming.stream.TokenStream` (the in-memory input
+    format) is wrapped once by ``as_source(chunk_size)``, sharing its pass
+    counter and per-token observer.
+    """
+    if isinstance(stream, StreamSource):
+        return stream
+    return stream.as_source(chunk_size)
+
+
 class StreamSource(abc.ABC):
     """A replayable, pass-counting stream of edge blocks (and list tokens).
 
@@ -173,8 +187,8 @@ class StreamSource(abc.ABC):
         The recorded time spans first item to generator exhaustion.  A
         consumer whose per-pass work happens *after* exhausting the blocks
         (e.g. one deferred reduction over collected chunks) must charge
-        that time back with ``pass_seconds[-1] += elapsed`` so token-path
-        and block-path pass times stay comparable.
+        that time back with ``pass_seconds[-1] += elapsed`` so pass times
+        cover the pass's whole work at every chunk size.
         """
         return self._pass_seconds
 

@@ -1,19 +1,17 @@
-"""A replayable token stream that counts passes.
+"""A replayable in-memory token stream that counts passes.
 
-Multipass algorithms consume the stream only through ``new_pass()``; the
-stream records how many passes were taken, which is the statistic
-Theorem 1's ``O(log Delta * log log Delta)`` bound constrains.  An optional
-per-token observer supports the communication-protocol simulation
-(Corollary 3.11), which needs to know when the read position crosses the
-Alice/Bob boundary.
-
-``TokenStream`` is the token-at-a-time view of the data plane; the
-array-backed, chunked view lives in :mod:`repro.streaming.source`
-(:class:`StreamSource` and friends).  The two interconvert:
-``stream.as_source()`` wraps a token stream in a block source sharing its
-pass counter, and ``source.as_token_stream()`` adapts any block source back
-to token iteration.  The token list is treated as immutable once the stream
-is constructed (``edge_count``/``max_degree`` are cached on first use).
+``TokenStream`` is an input format: a fixed sequence of
+:class:`EdgeToken` / :class:`ListToken` items.  Algorithms never iterate
+it token by token; they read its block view, ``stream.as_source()``
+(:mod:`repro.streaming.source`), which shares this stream's pass counter
+and timings — the statistic Theorem 1's ``O(log Delta * log log Delta)``
+bound constrains.  An optional per-token observer supports the
+communication-protocol simulation (Corollary 3.11), which needs to know
+when the read position crosses the Alice/Bob boundary; the block view
+honors it at token granularity.  ``source.as_token_stream()`` adapts any
+block source back to token iteration for diagnostics.  The token list is
+treated as immutable once the stream is constructed
+(``edge_count``/``max_degree`` are cached on first use).
 """
 
 

@@ -5,10 +5,9 @@ data plane.  :func:`workload_source` wraps a ``(family, n, order, seed)``
 cell in a :class:`~repro.streaming.source.GeneratorSource` — the edge
 array (and its arrangement) is re-derived on every pass, so nothing about
 the stream is retained between passes and the source works at any chunk
-size.  :func:`workload_token_stream` is the token-path twin used as the
-differential reference, and :func:`workload_list_stream` builds the
-Theorem 2 input (edges + per-vertex list tokens) for ``needs_lists``
-algorithms from the same underlying zoo graph.
+size.  :func:`workload_list_stream` builds the Theorem 2 input (edges +
+per-vertex list tokens) for ``needs_lists`` algorithms from the same
+underlying zoo graph.
 """
 
 import numpy as np
@@ -22,7 +21,6 @@ __all__ = [
     "workload_list_stream",
     "workload_source",
     "workload_stats",
-    "workload_token_stream",
 ]
 
 
@@ -52,16 +50,6 @@ def workload_source(
 
     _, n_actual = workload_edges(family, n, seed)
     return GeneratorSource(regenerate, n_actual, chunk_size=chunk_size)
-
-
-def workload_token_stream(
-    family: str, n: int, order: str = "insertion", seed: int = 0
-) -> TokenStream:
-    """The zoo cell as an in-memory token stream (differential reference)."""
-    edges, n_actual = _arranged(family, n, order, seed)
-    return TokenStream(
-        [EdgeToken(int(u), int(v)) for u, v in edges.tolist()], n_actual
-    )
 
 
 def workload_list_stream(

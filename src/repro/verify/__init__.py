@@ -7,9 +7,10 @@ entry point:
   entry in the registry): machine-checkable forms of each theorem's
   palette / pass / space / randomness claims, evaluated on every result
   when ``RunSpec.verify`` is set.
-- **Differential checks** (:mod:`repro.verify.differential`): the token
-  path and every block backend/chunk size must be observably identical —
-  same coloring, passes, peak space, random bits.
+- **Differential checks** (:mod:`repro.verify.differential`): every
+  block backend/chunk size must be observably identical to the
+  ``chunk_size=1`` reference — same coloring, passes, peak space, random
+  bits.
 - **Metamorphic properties** (:mod:`repro.verify.metamorphic`): seed
   determinism, stream-order invariance where the paper promises it, and
   guarantee stability under edge subsampling.

@@ -14,19 +14,23 @@ from repro.streaming.workloads import (
     workload_list_stream,
     workload_source,
     workload_stats,
-    workload_token_stream,
 )
 
-__all__ = ["Cell", "cell_fingerprint", "run_cell"]
+__all__ = ["REFERENCE_CHUNK_SIZE", "Cell", "cell_fingerprint", "run_cell"]
+
+#: The differential oracle's reference plane: one edge per block, the
+#: item-at-a-time order of the retired token path (whose outputs
+#: ``tests/golden/token_reference.json`` pins this plane to).
+REFERENCE_CHUNK_SIZE = 1
 
 
 @dataclass(frozen=True)
 class Cell:
     """Coordinates of one verification run.
 
-    ``chunk_size=None`` selects the token data plane; an integer selects
-    the chunked block plane (a lazy :class:`GeneratorSource`, or a
-    materialized source for list-coloring inputs).
+    ``chunk_size`` is the block size of the cell's source (a lazy
+    :class:`GeneratorSource`, or a materialized source for list-coloring
+    inputs); the default is the differential reference plane.
     """
 
     algorithm: str
@@ -34,7 +38,7 @@ class Cell:
     order: str = "insertion"
     n: int = 64
     seed: int = 0
-    chunk_size: int | None = None
+    chunk_size: int = REFERENCE_CHUNK_SIZE
 
 
 def run_cell(cell: Cell, registry=None, keep_coloring: bool = False,
@@ -56,12 +60,7 @@ def run_cell(cell: Cell, registry=None, keep_coloring: bool = False,
             cell.family, cell.n, order=cell.order, seed=cell.seed,
             universe=(config or {}).get("universe"),
         )
-        if cell.chunk_size is not None:
-            stream = stream.as_source(cell.chunk_size)
-    elif cell.chunk_size is None:
-        stream = workload_token_stream(
-            cell.family, cell.n, order=cell.order, seed=cell.seed
-        )
+        stream = stream.as_source(cell.chunk_size)
     else:
         stream = workload_source(
             cell.family, cell.n, order=cell.order, seed=cell.seed,

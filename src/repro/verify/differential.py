@@ -1,16 +1,22 @@
-"""The differential oracle: all data planes must agree bit for bit.
+"""The differential oracle: all chunk sizes must agree bit for bit.
 
-PR 2/3 established that every registered algorithm produces identical
-colorings, pass counts, space charges, and randomness draws on the token
-path and on every block backend at every chunk size.  This module turns
-that property from ad-hoc test assertions into a reusable oracle: run one
-verification cell on the token plane and on each requested chunk size,
-and report any field-level divergence.
+Every registered algorithm produces identical colorings, pass counts,
+space charges, and randomness draws at every chunk size.  This module
+turns that property into a reusable oracle: run one verification cell on
+the reference plane (``chunk_size=1``, one edge per block — the plane the
+golden corpus ``tests/golden/token_reference.json`` pins to the retired
+token-at-a-time implementation) and on each requested chunk size, and
+report any field-level divergence.
 """
 
 from dataclasses import dataclass, replace
 
-from repro.verify.cells import Cell, cell_fingerprint, run_cell
+from repro.verify.cells import (
+    REFERENCE_CHUNK_SIZE,
+    Cell,
+    cell_fingerprint,
+    run_cell,
+)
 
 __all__ = ["DifferentialReport", "differential_check"]
 
@@ -26,8 +32,8 @@ class DifferentialReport:
 
     cell: Cell
     chunk_sizes: tuple
-    mismatches: list  # (chunk_size, field, token_value, block_value)
-    results: dict  # chunk_size (None = tokens) -> ColoringResult
+    mismatches: list  # (chunk_size, field, reference_value, block_value)
+    results: dict  # chunk_size (REFERENCE_CHUNK_SIZE first) -> ColoringResult
 
     @property
     def ok(self) -> bool:
@@ -36,9 +42,9 @@ class DifferentialReport:
     def describe(self) -> list[str]:
         return [
             f"{self.cell.algorithm}/{self.cell.family}/{self.cell.order} "
-            f"chunk={chunk}: {field} diverged from the token path "
-            f"({token!r} vs {block!r})"
-            for chunk, field, token, block in self.mismatches
+            f"chunk={chunk}: {field} diverged from the chunk_size="
+            f"{REFERENCE_CHUNK_SIZE} reference ({reference!r} vs {block!r})"
+            for chunk, field, reference, block in self.mismatches
         ]
 
 
@@ -48,32 +54,35 @@ def differential_check(
     registry=None,
     config: dict | None = None,
 ) -> DifferentialReport:
-    """Run a cell on tokens + every chunk size; compare all result fields.
+    """Run a cell on the reference plane + every chunk size; compare all
+    result fields.
 
-    The token run is the reference.  Colorings are compared exactly, so
-    the check subsumes palette/properness agreement; wall times are the
-    only excluded fields.
+    The ``chunk_size=1`` run is the reference (a requested chunk size of
+    1 reuses it).  Colorings are compared exactly, so the check subsumes
+    palette/properness agreement; wall times are the only excluded fields.
     """
-    token_cell = replace(cell, chunk_size=None)
     reference = run_cell(
-        token_cell, registry=registry, keep_coloring=True, config=config
+        replace(cell, chunk_size=REFERENCE_CHUNK_SIZE), registry=registry,
+        keep_coloring=True, config=config,
     )
     ref_print = cell_fingerprint(reference)
-    results = {None: reference}
+    results = {REFERENCE_CHUNK_SIZE: reference}
     mismatches = []
     for chunk in chunk_sizes:
+        if chunk in results:
+            continue
         block = run_cell(
             replace(cell, chunk_size=chunk), registry=registry,
             keep_coloring=True, config=config,
         )
         results[chunk] = block
         block_print = cell_fingerprint(block)
-        for field_name, token_val, block_val in zip(
+        for field_name, ref_val, block_val in zip(
             _FIELDS, ref_print, block_print
         ):
-            if token_val != block_val:
+            if ref_val != block_val:
                 summary = (
-                    "<coloring>" if field_name == "coloring" else token_val,
+                    "<coloring>" if field_name == "coloring" else ref_val,
                     "<coloring>" if field_name == "coloring" else block_val,
                 )
                 mismatches.append((chunk, field_name, *summary))

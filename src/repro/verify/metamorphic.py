@@ -98,8 +98,7 @@ def check_subsample_stability(
     def regenerate():
         return arrange_edges(n_actual, sub, cell.order, cell.seed)
 
-    chunk = cell.chunk_size if cell.chunk_size is not None else 64
-    stream = GeneratorSource(regenerate, n_actual, chunk_size=chunk)
+    stream = GeneratorSource(regenerate, n_actual, chunk_size=cell.chunk_size)
     spec = RunSpec(
         algorithm=cell.algorithm, n=n_actual, delta=delta, seed=cell.seed,
         validate=entry.guarantee.proper,

@@ -1,8 +1,8 @@
 """The verification sweep: registry × workload zoo × orders × chunk sizes.
 
 For every registered algorithm and every zoo cell the sweep runs the
-differential oracle (token path vs every chunk size) with the guarantee
-oracle enabled on each run, then layers the metamorphic properties (seed
+differential oracle (chunk_size=1 reference vs every chunk size) with the
+guarantee oracle enabled on each run, then layers the metamorphic properties (seed
 determinism, declared order invariance, subsample stability) once per
 (algorithm, family).  The result is a flat list of verdict rows plus a
 list of human-readable violations; ``repro verify`` turns a non-empty

@@ -1,9 +1,12 @@
-"""Block-path vs token-path equivalence across every registered algorithm.
+"""Block-path equivalence across backends, chunk sizes and kernel tiers.
 
-The block data plane is only admissible if it changes *nothing* observable
-about a run: same coloring, same pass count, same peak space charge, same
-palette usage.  This suite drives a seeded grid through ``repro.engine``
-once per stream backend and compares the results field by field.
+The block data plane is the only execution path; its outputs are pinned
+to the retired token-at-a-time implementation by the golden corpus
+(``tests/golden/token_reference.json``, checked at chunk sizes 1, 64 and
+8192 in ``tests/test_token_reference.py``).  This suite checks that the
+other backends, chunk sizes and kernel tiers change *nothing* observable
+about a run: same coloring, same pass count, same peak space charge,
+same palette usage.
 """
 
 import pytest
@@ -12,27 +15,21 @@ from repro.common.exceptions import ReproError
 from repro.engine import REGISTRY, GameSpec, RunSpec, run, run_game
 from repro.kernels import compiled_available
 from repro.streaming.model import OnePassAlgorithm
+from token_reference import (
+    MATRIX as CASES,
+    MATRIX_SEEDS as SEEDS,
+    case_key,
+    digest,
+    equivalence_cases,
+    load_corpus,
+    run_case,
+)
 
 #: Tiers runnable on this host: the numpy reference always, the compiled
 #: twin tier only when numba imports (CI's ``kernels`` job installs it).
 AVAILABLE_TIERS = ["numpy"] + (["compiled"] if compiled_available() else [])
 
-# (n, delta) kept modest per algorithm so the whole matrix stays fast; the
-# deterministic algorithm additionally covers both selection modes and a
-# couple of seeds.
-CASES = [
-    ("deterministic", 64, 6, {"selection": "greedy_slack"}),
-    ("deterministic", 64, 6, {"selection": "hash_family", "prime_policy": "scaled"}),
-    ("list_coloring", 40, 5, {"prime_policy": "scaled"}),
-    ("robust", 48, 6, {}),
-    ("robust_lowrandom", 32, 4, {}),
-    ("naive", 48, 6, {}),
-    ("acs22", 48, 6, {}),
-    ("cgs22", 32, 4, {}),
-    ("palette_sparsification", 60, 8, {}),
-]
-
-SEEDS = (3, 11)
+CORPUS = load_corpus()["equivalence"]
 
 
 def fingerprint(result):
@@ -48,71 +45,54 @@ def fingerprint(result):
     )
 
 
-def run_backend(algorithm, n, delta, config, seed, backend, chunk_size=64):
-    return run(RunSpec(
-        algorithm=algorithm, n=n, delta=delta, seed=seed, graph_seed=seed,
-        config=config, stream_backend=backend, chunk_size=chunk_size,
-        keep_coloring=True,
-        # The naive strawman may legitimately output improper colorings
-        # (it drops edges at capacity); measure properness instead of
-        # raising so both paths can be compared on equal terms.
-        validate=algorithm != "naive",
-    ))
+def pinned(algorithm, n, delta, config, seed, **extra) -> str:
+    """The golden token-path fingerprint of one equivalence case."""
+    case = {"algorithm": algorithm, "n": n, "delta": delta, "seed": seed,
+            "graph_seed": seed, "config": dict(config), **extra}
+    assert case in equivalence_cases()
+    return CORPUS[case_key(case)]
 
 
-class TestTokenBlockEquivalence:
-    @pytest.mark.parametrize(
-        "algorithm,n,delta,config", CASES,
-        ids=[f"{c[0]}-{i}" for i, c in enumerate(CASES)],
-    )
-    def test_materialized_matches_tokens(self, algorithm, n, delta, config):
-        for seed in SEEDS:
-            token = run_backend(algorithm, n, delta, config, seed, "tokens")
-            block = run_backend(algorithm, n, delta, config, seed, "materialized")
-            assert fingerprint(token) == fingerprint(block)
+def run_backend(algorithm, n, delta, config, seed, backend, chunk_size=64,
+                **extra):
+    case = {"algorithm": algorithm, "n": n, "delta": delta, "seed": seed,
+            "graph_seed": seed, "config": dict(config), **extra}
+    return run_case(case, backend, chunk_size)
 
+
+class TestBlockPathEquivalence:
     def test_all_registered_algorithms_are_covered(self):
         assert {c[0] for c in CASES} == set(REGISTRY.names())
 
-    def test_every_registered_algorithm_is_block_native(self):
-        # Not just output-equivalent: no algorithm may fall through the
-        # token-adapter fallback.  Multipass algorithms must declare
-        # supports_blocks; onepass algorithms must additionally override
-        # the default scalar process_block loop.
+    def test_every_onepass_algorithm_overrides_process_block(self):
+        # Static runs and the batched game feed blocks; no one-pass
+        # algorithm may fall back to the default scalar process() loop.
         for entry in REGISTRY:
-            algo = entry.create(n=16, delta=3, seed=0)
-            assert getattr(algo, "supports_blocks", False), entry.name
             if entry.kind == "onepass":
+                algo = entry.create(n=16, delta=3, seed=0)
                 assert (
                     type(algo).process_block is not OnePassAlgorithm.process_block
                 ), f"{entry.name} uses the default scalar process_block"
 
-    def test_block_runs_report_block_native(self):
-        r = run_backend(
-            "deterministic", 64, 6, {"selection": "greedy_slack"}, 3,
-            "materialized",
-        )
-        assert r.extras["block_native"] is True
-
-    def test_generator_and_file_backends_match(self):
-        # Edge-only backends, deterministic block consumer, both selections.
+    def test_edge_only_backends_match_the_corpus(self):
+        # Both selections; every edge-only block source.
         for config in ({"selection": "greedy_slack"},
                        {"selection": "hash_family", "prime_policy": "scaled"}):
-            token = run_backend("deterministic", 64, 6, config, 5, "tokens")
-            for backend in ("generator", "file"):
+            expected = pinned("deterministic", 64, 6, config, 5)
+            for backend in ("materialized", "generator", "file",
+                            "sharded_file"):
                 other = run_backend("deterministic", 64, 6, config, 5, backend)
-                assert fingerprint(token) == fingerprint(other), backend
+                assert digest(other) == expected, backend
 
     def test_chunk_size_does_not_matter(self):
-        base = run_backend(
-            "deterministic", 64, 6, {"selection": "greedy_slack"}, 7,
-            "materialized", chunk_size=1,
-        )
+        config = {"selection": "greedy_slack"}
+        expected = pinned("deterministic", 64, 6, config, 7)
+        base = run_backend("deterministic", 64, 6, config, 7,
+                           "materialized", chunk_size=1)
+        assert digest(base) == expected
         for chunk_size in (3, 17, 10_000):
-            other = run_backend(
-                "deterministic", 64, 6, {"selection": "greedy_slack"}, 7,
-                "materialized", chunk_size=chunk_size,
-            )
+            other = run_backend("deterministic", 64, 6, config, 7,
+                                "materialized", chunk_size=chunk_size)
             assert fingerprint(base) == fingerprint(other)
 
     @pytest.mark.parametrize("algorithm,n,delta,config", [
@@ -125,31 +105,25 @@ class TestTokenBlockEquivalence:
     ):
         # Chunk boundaries cross buffer rolls and sketch events; the
         # randomized algorithms must be invariant to where they fall.
-        base = run_backend(algorithm, n, delta, config, 7, "tokens")
+        expected = pinned(algorithm, n, delta, config, 7)
         for chunk_size in (1, 3, 17, 10_000):
-            other = run_backend(
-                algorithm, n, delta, config, 7, "materialized",
-                chunk_size=chunk_size,
-            )
-            assert fingerprint(base) == fingerprint(other), chunk_size
+            other = run_backend(algorithm, n, delta, config, 7,
+                                "materialized", chunk_size=chunk_size)
+            assert digest(other) == expected, chunk_size
 
     def test_stream_orders_match_across_backends(self):
         # hash_family is the order-sensitive mode: the selector accumulates
-        # float potentials per conflict edge, so the block path must hand
-        # edges over in the token path's first-seen stream order.
+        # float potentials per conflict edge, so every backend must hand
+        # edges over in first-seen stream order.
         for config in ({"selection": "greedy_slack"},
                        {"selection": "hash_family", "prime_policy": "scaled"}):
             for order in ("insertion", "reverse", "random"):
-                results = []
-                for backend in ("tokens", "materialized", "generator", "file"):
-                    r = run(RunSpec(
-                        algorithm="deterministic", n=48, delta=5, seed=2,
-                        graph_seed=2, stream_order=order, stream_seed=13,
-                        config=config, stream_backend=backend,
-                        keep_coloring=True,
-                    ))
-                    results.append(fingerprint(r))
-                assert all(r == results[0] for r in results), (config, order)
+                extra = {"stream_order": order, "stream_seed": 13}
+                expected = pinned("deterministic", 48, 5, config, 2, **extra)
+                for backend in ("materialized", "generator", "file"):
+                    r = run_backend("deterministic", 48, 5, config, 2,
+                                    backend, chunk_size=8192, **extra)
+                    assert digest(r) == expected, (config, order, backend)
 
     def test_throughput_extras_recorded(self):
         r = run_backend(
@@ -162,17 +136,14 @@ class TestTokenBlockEquivalence:
         assert r.extras["edges_per_sec"] > 0
 
     def test_near_regular_family_matches_across_backends(self):
-        results = []
-        for backend in ("tokens", "materialized", "generator", "file"):
-            r = run(RunSpec(
-                algorithm="deterministic", n=60, delta=6, seed=4, graph_seed=4,
-                graph_family="near_regular",
-                config={"selection": "greedy_slack"},
-                stream_backend=backend, keep_coloring=True,
-            ))
+        config = {"selection": "greedy_slack"}
+        extra = {"graph_family": "near_regular"}
+        expected = pinned("deterministic", 60, 6, config, 4, **extra)
+        for backend in ("materialized", "generator", "file"):
+            r = run_backend("deterministic", 60, 6, config, 4, backend,
+                            chunk_size=8192, **extra)
             assert r.proper
-            results.append(fingerprint(r))
-        assert all(r == results[0] for r in results)
+            assert digest(r) == expected, backend
 
     def test_unknown_graph_family_rejected(self):
         with pytest.raises(ReproError):
@@ -191,6 +162,11 @@ class TestTokenBlockEquivalence:
         with pytest.raises(ReproError):
             run(RunSpec(algorithm="naive", n=10, delta=2,
                         stream_backend="carrier-pigeon"))
+
+    def test_retired_tokens_backend_rejected(self):
+        with pytest.raises(ReproError, match="materialized"):
+            run(RunSpec(algorithm="naive", n=10, delta=2,
+                        stream_backend="tokens"))
 
 
 class TestKernelTierEquivalence:

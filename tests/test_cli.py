@@ -72,6 +72,26 @@ class TestErrorHandling:
         assert "stream backend" in err
         assert "Traceback" not in err
 
+    def test_retired_tokens_backend_exits_2(self, capsys):
+        assert main(["run", "t1", "--n", "16", "--deltas", "2",
+                     "--stream-backend", "tokens"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown stream backend 'tokens'" in err
+        for backend in ("materialized", "generator", "file", "sharded_file"):
+            assert backend in err
+        assert "Traceback" not in err
+
+    def test_set_default_stream_rejects_tokens(self):
+        from repro.common.exceptions import ReproError
+        from repro.engine import STREAM_BACKENDS, set_default_stream
+        from repro.engine.runner import get_default_stream
+
+        before = get_default_stream()
+        with pytest.raises(ReproError, match="valid: .*materialized"):
+            set_default_stream("tokens")
+        assert "tokens" not in STREAM_BACKENDS
+        assert get_default_stream() == before
+
     def test_bad_chunk_size_exits_2(self, capsys):
         assert main(["run", "t1", "--n", "16", "--deltas", "2",
                      "--chunk-size", "0"]) == 2
@@ -163,7 +183,7 @@ class TestRun:
         assert main(["run", "t1", "--n", "20", "--deltas", "2",
                      "--stream-backend", "file", "--chunk-size", "7"]) == 0
         spec = RunSpec(algorithm="naive", n=4, delta=1)
-        assert _resolve_data_plane(spec) == ("tokens", 8192)
+        assert _resolve_data_plane(spec) == ("materialized", 8192)
 
     def test_run_t6_small(self, capsys):
         assert main([

@@ -1,7 +1,6 @@
 """Tests for the repro.engine API: registry round-trips, the uniform
-run/result schema, grid execution, and the deprecation shims."""
+run/result schema, and grid execution."""
 
-import warnings
 
 import pytest
 
@@ -295,45 +294,3 @@ class TestGrid:
         result = run(small_spec("deterministic"))
         with pytest.raises(ReproError, match="no column"):
             results_table([result], [("x", "definitely_not_a_column")])
-
-
-class TestDeprecationShims:
-    OLD_NAMES = (
-        "DeterministicColoring", "DeterministicListColoring",
-        "RobustColoring", "LowRandomnessRobustColoring",
-        "ConflictSeekingAdversary", "run_adversarial_game",
-        "two_party_coloring_protocol",
-    )
-
-    @pytest.mark.parametrize("name", OLD_NAMES)
-    def test_old_top_level_names_warn_but_work(self, name):
-        import repro
-
-        with pytest.warns(DeprecationWarning, match=name):
-            obj = getattr(repro, name)
-        assert obj is not None
-
-    def test_shimmed_class_still_runs(self):
-        import repro
-        from repro.graph.generators import random_max_degree_graph
-        from repro.streaming.stream import stream_from_graph
-
-        with pytest.warns(DeprecationWarning):
-            cls = repro.DeterministicColoring
-        graph = random_max_degree_graph(16, 3, seed=2)
-        coloring = cls(16, 3).run(stream_from_graph(graph))
-        assert set(coloring) == set(range(16))
-
-    def test_new_names_do_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            import repro
-
-            assert repro.run is run
-            assert repro.REGISTRY is REGISTRY
-
-    def test_unknown_attribute_raises(self):
-        import repro
-
-        with pytest.raises(AttributeError):
-            repro.definitely_not_an_attribute

@@ -361,11 +361,21 @@ class TestCrashAtEveryBoundary:
 
 
 class TestDriverValidation:
-    def test_tokens_backend_rejected(self):
-        spec = RunSpec(algorithm="naive", n=16, delta=3,
-                       stream_backend="tokens")
-        with pytest.raises(CheckpointError, match="block source"):
-            ResumableRun(spec)
+    def test_token_stream_input_is_adapted_to_blocks(self, tmp_path):
+        # A caller-supplied TokenStream is an input format: the driver
+        # reads it through its block view and checkpoints like any source.
+        from repro.graph.generators import random_max_degree_graph
+        from repro.streaming.stream import stream_from_graph
+
+        graph = random_max_degree_graph(16, 3, seed=2)
+        spec = RunSpec(algorithm="deterministic", n=16, delta=3,
+                       chunk_size=5, keep_coloring=True)
+        reference = run(spec, stream_from_graph(graph))
+        assert reference.extras["stream_backend"] == "materialized"
+        path = str(tmp_path / "t.ck")
+        resumed = run(spec, stream_from_graph(graph), checkpoint_every=1,
+                      checkpoint_path=path)
+        assert strip_volatile(resumed) == strip_volatile(reference)
 
     def test_run_entry_point_validates_checkpoint_args(self, tmp_path):
         from repro.common.exceptions import ReproError

@@ -123,14 +123,15 @@ class TestRunCell:
                                seed=0, chunk_size=8))
         assert result.delta == 23 and result.n == 24
 
-    def test_token_and_block_planes(self):
-        token = run_cell(Cell(algorithm="cgs22", family="bipartite", n=24,
-                              seed=2), keep_coloring=True)
+    def test_reference_and_block_planes(self):
+        reference = run_cell(Cell(algorithm="cgs22", family="bipartite",
+                                  n=24, seed=2), keep_coloring=True)
         block = run_cell(Cell(algorithm="cgs22", family="bipartite", n=24,
                               seed=2, chunk_size=16), keep_coloring=True)
-        assert token.extras["stream_backend"] == "tokens"
+        assert reference.extras["chunk_size"] == 1
+        assert block.extras["chunk_size"] == 16
         assert block.extras["stream_backend"] == "generator"
-        assert token.coloring == block.coloring
+        assert reference.coloring == block.coloring
 
     def test_list_coloring_rides_materialized_blocks(self):
         block = run_cell(Cell(algorithm="list_coloring", family="power_law",
@@ -158,16 +159,26 @@ class TestDifferential:
             chunk_sizes=(5, 64),
         )
         assert report.ok
-        assert set(report.results) == {None, 5, 64}
+        assert set(report.results) == {1, 5, 64}
+
+    def test_requested_reference_chunk_is_not_run_twice(self):
+        report = differential_check(
+            Cell(algorithm="cgs22", family="bipartite", n=20, seed=2),
+            chunk_sizes=(1, 8),
+        )
+        assert report.ok
+        assert set(report.results) == {1, 8}
 
     def test_divergence_is_reported(self):
         # Inject a data-plane divergence: an algorithm whose palette
-        # claim depends on whether it saw blocks or tokens.
+        # claim depends on the block size it was fed.
         from repro.baselines import OneShotRandomColoring
 
         class PlaneSensitive(OneShotRandomColoring):
             def process_block(self, edges):
-                self.palette_size = self.range_size + 1  # diverge
+                self.palette_size = max(  # diverge
+                    self.palette_size, self.range_size + len(edges)
+                )
                 super().process_block(edges)
 
         def make(n, delta, seed, cfg):

@@ -17,7 +17,6 @@ from repro.streaming.workloads import (
     workload_list_stream,
     workload_source,
     workload_stats,
-    workload_token_stream,
 )
 
 
@@ -127,14 +126,13 @@ class TestStreamBuilders:
         assert np.array_equal(pass1, pass2)
         assert source.passes_used == 2
 
-    def test_source_matches_token_stream(self):
+    def test_source_matches_arranged_edges(self):
         source = workload_source("bipartite", 30, order="random", seed=8,
                                  chunk_size=7)
-        stream = workload_token_stream("bipartite", 30, order="random",
-                                       seed=8)
+        edges, n_actual = workload_edges("bipartite", 30, 8)
+        arranged = arrange_edges(n_actual, edges, "random", 8)
         blocks = np.concatenate(list(source.iter_items()))
-        tokens = [(t.u, t.v) for t in stream.tokens]
-        assert [tuple(e) for e in blocks.tolist()] == tokens
+        assert np.array_equal(blocks, arranged)
 
     def test_stats(self):
         n, delta, m = workload_stats("near_star", 24, seed=1)

@@ -13,8 +13,13 @@ palette_bound, proper)``.  Two groups:
   --smoke`` (registry x zoo families x zoo orders at n <= 32, seed 0),
   keyed ``algorithm/family/order/n/seed``.
 
-The reference runs are made on :data:`REFERENCE_PLANE` (``stream_backend``,
-``chunk_size``).  Regenerate with::
+The committed corpus was generated from the token-at-a-time data plane
+(``stream_backend="tokens"``), before that plane was retired; it freezes
+those outputs.  The block path is checked against it in
+``tests/test_token_reference.py``.  Regenerating now runs the reference
+on :data:`REFERENCE_PLANE` — one edge per block, the token path's
+item-at-a-time order — and must reproduce the committed file byte for
+byte::
 
     PYTHONPATH=src python tests/token_reference.py
 """
@@ -25,7 +30,7 @@ import os
 import sys
 
 #: ``(stream_backend, chunk_size)`` the reference runs use.
-REFERENCE_PLANE = ("tokens", None)
+REFERENCE_PLANE = ("materialized", 1)
 
 CORPUS_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "token_reference.json")
