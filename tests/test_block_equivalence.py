@@ -20,8 +20,8 @@ from token_reference import (
     MATRIX_SEEDS as SEEDS,
     case_key,
     digest,
-    equivalence_cases,
     load_corpus,
+    make_case,
     run_case,
 )
 
@@ -47,17 +47,14 @@ def fingerprint(result):
 
 def pinned(algorithm, n, delta, config, seed, **extra) -> str:
     """The golden token-path fingerprint of one equivalence case."""
-    case = {"algorithm": algorithm, "n": n, "delta": delta, "seed": seed,
-            "graph_seed": seed, "config": dict(config), **extra}
-    assert case in equivalence_cases()
-    return CORPUS[case_key(case)]
+    return CORPUS[case_key(make_case(algorithm, n, delta, seed, config,
+                                     **extra))]
 
 
 def run_backend(algorithm, n, delta, config, seed, backend, chunk_size=64,
                 **extra):
-    case = {"algorithm": algorithm, "n": n, "delta": delta, "seed": seed,
-            "graph_seed": seed, "config": dict(config), **extra}
-    return run_case(case, backend, chunk_size)
+    return run_case(make_case(algorithm, n, delta, seed, config, **extra),
+                    backend, chunk_size)
 
 
 class TestBlockPathEquivalence:

@@ -54,7 +54,8 @@ MATRIX = [
 MATRIX_SEEDS = (3, 11)
 
 
-def _case(algorithm, n, delta, seed, config, **extra) -> dict:
+def make_case(algorithm, n, delta, seed, config, **extra) -> dict:
+    """RunSpec fields of one equivalence case (graph seeded like the run)."""
     spec = {"algorithm": algorithm, "n": n, "delta": delta, "seed": seed,
             "graph_seed": seed, "config": dict(config)}
     spec.update(extra)
@@ -64,27 +65,27 @@ def _case(algorithm, n, delta, seed, config, **extra) -> dict:
 def equivalence_cases() -> list[dict]:
     """RunSpec fields of every equivalence case (deduplicated, ordered)."""
     cases = [
-        _case(algorithm, n, delta, seed, config)
+        make_case(algorithm, n, delta, seed, config)
         for algorithm, n, delta, config in MATRIX
         for seed in MATRIX_SEEDS
     ]
     # Edge-only backends (generator, file) and the chunk-size sweep.
-    cases += [_case("deterministic", 64, 6, 5, c) for c in (_GREEDY, _FAMILY)]
-    cases.append(_case("deterministic", 64, 6, 7, _GREEDY))
+    cases += [make_case("deterministic", 64, 6, 5, c) for c in (_GREEDY, _FAMILY)]
+    cases.append(make_case("deterministic", 64, 6, 7, _GREEDY))
     # Randomized algorithms across chunk boundaries.
     cases += [
-        _case("robust", 48, 6, 7, {}),
-        _case("robust_lowrandom", 64, 9, 7, {}),
-        _case("list_coloring", 40, 5, 7, {"prime_policy": "scaled"}),
+        make_case("robust", 48, 6, 7, {}),
+        make_case("robust_lowrandom", 64, 9, 7, {}),
+        make_case("list_coloring", 40, 5, 7, {"prime_policy": "scaled"}),
     ]
     # Stream orders (hash_family is the order-sensitive mode).
     cases += [
-        _case("deterministic", 48, 5, 2, config, stream_order=order,
+        make_case("deterministic", 48, 5, 2, config, stream_order=order,
               stream_seed=13)
         for config in (_GREEDY, _FAMILY)
         for order in ("insertion", "reverse", "random")
     ]
-    cases.append(_case("deterministic", 60, 6, 4, _GREEDY,
+    cases.append(make_case("deterministic", 60, 6, 4, _GREEDY,
                        graph_family="near_regular"))
     unique = {case_key(c): c for c in cases}
     return list(unique.values())
