@@ -5,7 +5,8 @@ retired token-at-a-time implementation (see ``tests/token_reference.py``).
 Every equivalence case must reproduce its fingerprint at chunk sizes 1,
 64 and 8192; every ``repro verify --all --smoke`` zoo cell must reproduce
 it on the differential oracle's ``chunk_size=1`` reference plane, which
-pins that reference to the token outputs.
+pins that reference to the token outputs; every pinned adaptive game must
+reproduce its game fingerprint.
 """
 
 import pytest
@@ -18,8 +19,11 @@ from token_reference import (
     cell_key,
     digest,
     equivalence_cases,
+    game_cases,
+    game_digest,
     load_corpus,
     run_case,
+    run_game_case,
     run_zoo_cell,
     zoo_cells,
 )
@@ -27,6 +31,7 @@ from token_reference import (
 CORPUS = load_corpus()
 CASES = equivalence_cases()
 CELLS = zoo_cells()
+GAMES = game_cases()
 
 
 def _case_id(case: dict) -> str:
@@ -42,6 +47,8 @@ class TestCorpusShape:
         assert set(CORPUS["equivalence"]) == {case_key(c) for c in CASES}
         assert set(CORPUS["zoo"]) == {cell_key(c) for c in CELLS}
         assert len(CELLS) == 280
+        assert set(CORPUS["game"]) == {case_key(g) for g in GAMES}
+        assert len(GAMES) == 32
 
     def test_every_registered_algorithm_is_pinned(self):
         assert {c["algorithm"] for c in CASES} == set(REGISTRY.names())
@@ -68,5 +75,17 @@ class TestZooCorpus:
             for cell in CELLS
             if cell.algorithm == algorithm
             and digest(run_zoo_cell(cell)) != CORPUS["zoo"][cell_key(cell)]
+        ]
+        assert not mismatched
+
+
+class TestGameCorpus:
+    @pytest.mark.parametrize("algorithm", sorted({g["algorithm"] for g in GAMES}))
+    def test_games_reproduce_their_fingerprints(self, algorithm):
+        mismatched = [
+            case_key(game)
+            for game in GAMES
+            if game["algorithm"] == algorithm
+            and game_digest(run_game_case(game)) != CORPUS["game"][case_key(game)]
         ]
         assert not mismatched

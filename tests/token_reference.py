@@ -3,7 +3,7 @@
 ``tests/golden/token_reference.json`` pins, for a fixed set of runs, a
 sha256 over everything observable about the result except wall times:
 ``(coloring, passes, peak_space_bits, random_bits, colors_used,
-palette_bound, proper)``.  Two groups:
+palette_bound, proper)``.  Three groups:
 
 - ``equivalence`` — every case x seed of ``tests/test_block_equivalence.py``
   (the registry matrix, the generator/file-backend cases, the stream-order
@@ -11,7 +11,14 @@ palette_bound, proper)``.  Two groups:
   by the canonical JSON of the case's :class:`RunSpec` fields;
 - ``zoo`` — the reference run of every cell of ``repro verify --all
   --smoke`` (registry x zoo families x zoo orders at n <= 32, seed 0),
-  keyed ``algorithm/family/order/n/seed``.
+  keyed ``algorithm/family/order/n/seed``;
+- ``game`` — adaptive insert/query games (:func:`repro.engine.run_game`)
+  of the four one-pass algorithms against the ``conflict`` and ``random``
+  adversaries, querying every round and every 8th round, keyed by the
+  canonical JSON of the game's :class:`GameSpec` fields.  A game's
+  fingerprint is a sha256 over ``(colors_used, proper, peak_space_bits,
+  random_bits, extras)``, without the dispatch-observability extras
+  (``kernel_tier``, ``kernel_hits``) and wall time.
 
 The committed corpus was generated from the token-at-a-time data plane
 (``stream_backend="tokens"``), before that plane was retired; it freezes
@@ -22,6 +29,9 @@ item-at-a-time order — and must reproduce the committed file byte for
 byte::
 
     PYTHONPATH=src python tests/token_reference.py
+
+The ``game`` group is generated from the per-edge scalar ``process``
+path (``batch_size=1``).
 """
 
 import hashlib
@@ -52,6 +62,23 @@ MATRIX = [
     ("palette_sparsification", 60, 8, {}),
 ]
 MATRIX_SEEDS = (3, 11)
+
+
+#: Adaptive games: (algorithm, n, delta), each played for ``2n`` rounds
+#: against every adversary, at every query cadence and seed.
+GAME_MATRIX = [
+    ("robust", 48, 6),
+    ("robust_lowrandom", 48, 6),
+    ("cgs22", 32, 4),
+    ("naive", 48, 6),
+]
+GAME_ADVERSARIES = ("conflict", "random")
+GAME_QUERY_EVERY = (1, 8)
+GAME_SEEDS = (5, 17)
+
+#: Game extras left out of the fingerprint: how the edges were fed and
+#: dispatched, not what the algorithm computed.
+GAME_EXCLUDED_EXTRAS = ("kernel_tier", "kernel_hits", "batch_size")
 
 
 def make_case(algorithm, n, delta, seed, config, **extra) -> dict:
@@ -89,6 +116,18 @@ def equivalence_cases() -> list[dict]:
                        graph_family="near_regular"))
     unique = {case_key(c): c for c in cases}
     return list(unique.values())
+
+
+def game_cases() -> list[dict]:
+    """GameSpec fields of every pinned adaptive game."""
+    return [
+        {"algorithm": algorithm, "n": n, "delta": delta, "rounds": 2 * n,
+         "seed": seed, "adversary": adversary, "query_every": query_every}
+        for algorithm, n, delta in GAME_MATRIX
+        for adversary in GAME_ADVERSARIES
+        for query_every in GAME_QUERY_EVERY
+        for seed in GAME_SEEDS
+    ]
 
 
 def case_key(case: dict) -> str:
@@ -131,6 +170,25 @@ def digest(result) -> str:
     return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
 
 
+def game_digest(result) -> str:
+    """sha256 over a game's outcome, its algorithm extras included."""
+    extras = {k: v for k, v in result.extras.items()
+              if k not in GAME_EXCLUDED_EXTRAS}
+    payload = [
+        int(result.colors_used), bool(result.proper),
+        int(result.peak_space_bits), int(result.random_bits), extras,
+    ]
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode()
+    ).hexdigest()
+
+
+def run_game_case(case: dict):
+    from repro.engine import GameSpec, run_game
+
+    return run_game(GameSpec(**case, batch_size=1))
+
+
 def run_case(case: dict, stream_backend: str, chunk_size):
     from repro.engine import RunSpec, run
 
@@ -168,6 +226,13 @@ def generate() -> dict:
             cell_key(cell): digest(run_zoo_cell(cell))
             for cell in zoo_cells()
         },
+        "game_fingerprint": "sha256(json([colors_used, proper, "
+                            "peak_space_bits, random_bits, extras without "
+                            "feed/dispatch fields]))",
+        "game": {
+            case_key(case): game_digest(run_game_case(case))
+            for case in game_cases()
+        },
     }
 
 
@@ -180,7 +245,8 @@ def main() -> int:
         f.write("\n")
     os.replace(tmp, CORPUS_PATH)
     print(f"wrote {CORPUS_PATH}: {len(corpus['equivalence'])} equivalence "
-          f"cases, {len(corpus['zoo'])} zoo cells")
+          f"cases, {len(corpus['zoo'])} zoo cells, {len(corpus['game'])} "
+          "games")
     return 0
 
 
