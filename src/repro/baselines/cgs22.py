@@ -27,13 +27,11 @@ sits at the ``O(n Delta^{1/2})`` point of the tradeoff curve.
 
 import numpy as np
 
-from repro.common.exceptions import AlgorithmFailure, ReproError
+from repro.common.exceptions import ReproError
 from repro.common.integer_math import ceil_log2, ceil_sqrt, floor_log2, next_prime
 from repro.common.rng import SeededRng
-from repro.graph.coloring import greedy_coloring
-from repro.graph.graph import Graph
 from repro.hashing.kindependent import PolynomialHashFamily
-from repro.streaming.blocks import trim_hash_cache
+from repro.streaming.blocks import sketch_process_block, sketch_query
 from repro.streaming.model import OnePassAlgorithm
 
 
@@ -71,7 +69,6 @@ class SketchSwitchingQuadraticColoring(OnePassAlgorithm):
         self.meter.charge_random_bits(
             self.num_epochs * self.repetitions * self.family.seed_bits()
         )
-        self._prime = prime
         self._d_sets: list[list] = [
             [[] for _ in range(self.repetitions)]
             for _ in range(self.num_epochs + 2)
@@ -82,81 +79,14 @@ class SketchSwitchingQuadraticColoring(OnePassAlgorithm):
         self._edge_bits = 2 * ceil_log2(max(2, n))
 
     # ------------------------------------------------------------------
-    def _hash_all(self, x: int) -> np.ndarray:
-        cached = self._hash_cache.get(x)
-        if cached is None:
-            c = self._coeffs
-            acc = np.zeros(c.shape[:2], dtype=np.int64)
-            for d in range(3, -1, -1):
-                acc = (acc * x + c[:, :, d]) % self._prime
-            cached = acc % self.ell
-            self._hash_cache[x] = cached
-            trim_hash_cache(self._hash_cache)
-        return cached
-
-    def _update_space(self) -> None:
-        stored = sum(
-            len(dj) for di in self._d_sets for dj in di if dj is not None
-        )
-        self.meter.set_gauge("D sketches", stored * self._edge_bits)
-        self.meter.set_gauge("buffer B", len(self._buffer) * self._edge_bits)
-
-    # ------------------------------------------------------------------
-    def process(self, u: int, v: int) -> None:
-        if len(self._buffer) == self.buffer_capacity:
-            self._buffer = []
-            self._curr += 1
-        self._buffer.append((u, v))
-        hu = self._hash_all(u)
-        hv = self._hash_all(v)
-        mono_i, mono_j = np.nonzero(hu == hv)
-        for i, j in zip(mono_i + 1, mono_j):
-            if not self._curr + 1 <= i <= self.num_epochs:
-                continue
-            d_i = self._d_sets[i]
-            d_ij = d_i[j]
-            if d_ij is None:
-                continue
-            if len(d_ij) < self.overflow_cap:
-                d_ij.append((u, v))
-            else:
-                d_i[j] = None
-        self._update_space()
-
     def process_block(self, edges: np.ndarray) -> None:
-        """Vectorized :meth:`process` over a ``(k, 2)`` block (bit-identical)."""
-        from repro.streaming.blocks import sketch_process_block
-
         sketch_process_block(
             self, edges, num_epochs=self.num_epochs,
             capacity=self.buffer_capacity,
         )
 
-    # ------------------------------------------------------------------
     def query(self) -> dict[int, int]:
-        if self._curr <= self.num_epochs:
-            d_curr = self._d_sets[self._curr]
-        else:
-            d_curr = [[] for _ in range(self.repetitions)]
-        k = next((j for j, d in enumerate(d_curr) if d is not None), None)
-        if k is None:
-            raise AlgorithmFailure(
-                f"all {self.repetitions} sketches of epoch {self._curr} overflowed"
-            )
-        graph = Graph(self.n)  # repro: noqa[R3] sketch contents, not the stream
-        for u, v in list(d_curr[k]) + self._buffer:
-            if not graph.has_edge(u, v):
-                graph.add_edge(u, v)
-        chi = greedy_coloring(graph)
-        if self._curr <= self.num_epochs:
-            def h_row(y: int) -> int:
-                return int(self._hash_all(y)[self._curr - 1][k])
-        else:
-            def h_row(y: int) -> int:
-                return 0
-        return {
-            y: (chi[y] - 1) * self.ell + h_row(y) + 1 for y in range(self.n)
-        }
+        return sketch_query(self, num_epochs=self.num_epochs)
 
     # ------------------------------------------------------------------
     @property

@@ -117,19 +117,12 @@ class OneShotRandomColoring(OnePassAlgorithm):
         self.dropped_edges = 0
         self._edge_bits = 2 * ceil_log2(max(2, n))
 
-    def process(self, u: int, v: int) -> None:
-        if self._chi[u] == self._chi[v]:
-            if len(self._stored) < self.capacity:
-                self._store(u, v)
-            else:
-                self.dropped_edges += 1  # silently improper from here on
-
     def process_block(self, edges: np.ndarray) -> None:
-        """Vectorized :meth:`process`: one conflict mask per block.
+        """Store monochromatic insertions while there is room, drop the rest.
 
-        The store evolves exactly as the scalar loop's: the first
-        ``capacity - len(stored)`` monochromatic edges (in stream order)
-        are kept, the rest are dropped.
+        One conflict mask per block: the first ``capacity - len(stored)``
+        monochromatic edges (in stream order) are kept, later ones are
+        dropped and stay unrepaired.
         """
         mono = edges[self._chi[edges[:, 0]] == self._chi[edges[:, 1]]]
         room = max(0, self.capacity - len(self._stored))

@@ -45,12 +45,12 @@ class SpaceMeter:
     def observe_peak(self, total_bits: int) -> None:
         """Record that the gauge total transiently reached ``total_bits``.
 
-        Block-native passes replay many per-item gauge updates as one
+        Block-native passes apply many per-item gauge updates as one
         vectorized step; the intermediate high-water mark (e.g. a buffer
         filling to capacity mid-block before rolling) is computed in closed
-        form and reported here, so peaks agree bit for bit with per-item
-        ``process`` calls and across chunk sizes without per-item
-        ``set_gauge`` calls.
+        form and reported here, so the peak is the one the per-item
+        updates reach and does not depend on the chunk size, without
+        per-item ``set_gauge`` calls.
         """
         if total_bits < 0:
             raise ParameterError("observed peak cannot be negative")

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.exceptions import ReproError
-from repro.common.integer_math import ceil_div, ceil_log2, ceil_sqrt
+from repro.common.integer_math import ceil_div, ceil_log2
 from repro.graph.coloring import greedy_coloring
 from repro.graph.degeneracy import degeneracy_coloring
 from repro.graph.graph import Graph
@@ -127,9 +127,9 @@ class RobustColoring(OnePassAlgorithm):
             for i in range(1, p.num_levels + 1)
         ]
         self.meter.charge_random_bits(self._oracle.bits_served)
-        self._degree = [0] * n
+        self._degree = np.zeros(n, dtype=np.int64)
         self._buffer: list[tuple[int, int]] = []
-        self._buffer_degree = [0] * n
+        self._buffer_degree = np.zeros(n, dtype=np.int64)
         self._a_sets: list[list[tuple[int, int]]] = [[] for _ in range(p.num_epochs + 2)]
         self._c_sets: list[list[tuple[int, int]]] = [[] for _ in range(p.num_levels + 2)]
         self._curr = 1
@@ -137,83 +137,41 @@ class RobustColoring(OnePassAlgorithm):
         # Stacked oracle tables for the block path, built on first use.
         self._h_table = None
         self._g_table = None
-        log_n = ceil_log2(max(2, n))
-
-        self._edge_bits = 2 * log_n
-        self._update_space()
+        self._edge_bits = 2 * ceil_log2(max(2, n))
+        self.meter.set_gauge(
+            "degree counters", n * ceil_log2(max(2, delta + 1))
+        )
 
     # ------------------------------------------------------------------
-    def _update_space(self) -> None:
-        p = self.params
-        self.meter.set_gauge("buffer B", len(self._buffer) * self._edge_bits)
-        self.meter.set_gauge(
-            "A sketches", sum(len(a) for a in self._a_sets) * self._edge_bits
-        )
-        self.meter.set_gauge(
-            "C sketches", sum(len(c) for c in self._c_sets) * self._edge_bits
-        )
-        self.meter.set_gauge(
-            "degree counters", self.n * ceil_log2(max(2, self.delta + 1))
-        )
-
     def _level_of_degree(self, d: int) -> int:
         """Level ``l`` such that degree is in ``((l-1) T, l T]`` (T = fast threshold)."""
         return max(1, ceil_div(d, self.params.fast_threshold))
 
     # ------------------------------------------------------------------
-    def process(self, u: int, v: int) -> None:
-        p = self.params
-        if self._degree[u] >= self.delta or self._degree[v] >= self.delta:
-            raise ReproError(
-                f"edge ({u},{v}) exceeds the promised max degree {self.delta}"
-            )
-        # Lines 10-11: roll the buffer/epoch when full.
-        if len(self._buffer) == p.buffer_capacity:
-            self._buffer = []
-            self._buffer_degree = [0] * self.n
-            self._curr += 1
-        self._buffer.append((u, v))
-        self._buffer_degree[u] += 1
-        self._buffer_degree[v] += 1
-        # Line 13: degree counters.
-        self._degree[u] += 1
-        self._degree[v] += 1
-        self._edges_seen += 1
-        # Lines 14-15: h_i-sketches for future epochs.
-        for i in range(self._curr + 1, p.num_epochs + 1):
-            h = self._h[i - 1]
-            if h(u) == h(v):
-                self._a_sets[i].append((u, v))
-        # Lines 16-17: g_i-sketches for levels above both endpoints.
-        top = self._level_of_degree(max(self._degree[u], self._degree[v]))
-        for i in range(top + 1, p.num_levels + 1):
-            g = self._g[i - 1]
-            if g(u) == g(v):
-                self._c_sets[i].append((u, v))
-        self._update_space()
-
-    # ------------------------------------------------------------------
     def process_block(self, edges: np.ndarray) -> None:
-        """Vectorized :meth:`process` over a ``(k, 2)`` block (bit-identical).
+        """Lines 10-17 over a ``(k, 2)`` block of insertions, in order.
 
         The sequential bookkeeping is reconstructed in closed form: running
         degrees via a stable group-rank, buffer epochs via
         :func:`~repro.streaming.blocks.buffer_timeline`, and the rare
         monochromatic sketch events via one oracle-table gather per family.
-        A block containing a degree-cap violation falls back to the scalar
-        loop so the exception fires at the exact same edge with the exact
-        same partial state.
+        An edge that would exceed the degree cap raises :class:`ReproError`
+        after the edges before it have been processed.
         """
         p = self.params
         k = len(edges)
         if k == 0:
             return
-        deg0 = np.asarray(self._degree, dtype=np.int64)
-        deg_before = running_degrees(deg0, edges)
-        if (deg_before >= self.delta).any():
-            for u, v in edges.tolist():
-                self.process(u, v)
-            return
+        # Larger endpoint degree just before each edge's insertion.
+        deg_max = running_degrees(self._degree, edges).max(axis=1)
+        over = np.flatnonzero(deg_max >= self.delta)
+        if len(over):
+            first = int(over[0])
+            self.process_block(edges[:first])
+            u, v = edges[first].tolist()
+            raise ReproError(
+                f"edge ({u},{v}) exceeds the promised max degree {self.delta}"
+            )
         rolls, lengths = buffer_timeline(len(self._buffer), p.buffer_capacity, k)
         curr_at = self._curr + rolls
         us, vs = edges[:, 0], edges[:, 1]
@@ -225,65 +183,51 @@ class RobustColoring(OnePassAlgorithm):
             self._g_table = np.stack([g.table() for g in self._g])
         mono_h = (self._h_table[:, us] == self._h_table[:, vs]).T  # (k, E)
         ev_e, ev_i = np.nonzero(mono_h)
+        a_added = 0
         for e, i in zip(ev_e.tolist(), ev_i.tolist()):
             epoch = i + 1
             if curr_at[e] + 1 <= epoch <= p.num_epochs:
-                u, v = edges_list[e]
-                self._a_sets[epoch].append((u, v))
+                self._a_sets[epoch].append(tuple(edges_list[e]))
                 stored_delta[e] += 1
+                a_added += 1
         # Lines 16-17: g_i-monochromatic events for levels above the edge.
-        top = np.maximum(
-            1,
-            -(-(deg_before.max(axis=1) + 1) // p.fast_threshold),
-        )
+        top = np.maximum(1, -(-(deg_max + 1) // p.fast_threshold))
         mono_g = (self._g_table[:, us] == self._g_table[:, vs]).T  # (k, L)
         ev_e, ev_i = np.nonzero(mono_g)
+        c_added = 0
         for e, i in zip(ev_e.tolist(), ev_i.tolist()):
             level = i + 1
             if top[e] + 1 <= level <= p.num_levels:
-                u, v = edges_list[e]
-                self._c_sets[level].append((u, v))
+                self._c_sets[level].append(tuple(edges_list[e]))
                 stored_delta[e] += 1
+                c_added += 1
         # Degree counters (line 13) and the buffer (lines 10-12).
-        self._degree = (
-            deg0 + np.bincount(edges.ravel(), minlength=self.n)
-        ).tolist()
+        counts = np.bincount(edges.ravel(), minlength=self.n)
+        self._degree += counts
         if rolls[-1] > 0:
             tail = edges[k - int(lengths[-1]):]
             self._buffer = [tuple(e) for e in tail.tolist()]
-            self._buffer_degree = np.bincount(
-                tail.ravel(), minlength=self.n
-            ).tolist()
+            self._buffer_degree = np.bincount(tail.ravel(), minlength=self.n)
         else:
             self._buffer.extend(tuple(e) for e in edges_list)
-            self._buffer_degree = (
-                np.asarray(self._buffer_degree, dtype=np.int64)
-                + np.bincount(edges.ravel(), minlength=self.n)
-            ).tolist()
+            self._buffer_degree += counts
         self._curr += int(rolls[-1])
         self._edges_seen += k
-        # Space peak: the scalar path updates gauges after every edge.
-        stored0 = sum(len(a) for a in self._a_sets) + sum(
-            len(c) for c in self._c_sets
-        ) - int(stored_delta.sum())
-        per_edge_total = (
-            stored0 + np.cumsum(stored_delta) + lengths
-        ) * self._edge_bits
-        base = (
-            self.meter.current_bits
-            - self.meter.gauge("buffer B")
-            - self.meter.gauge("A sketches")
-            - self.meter.gauge("C sketches")
-        )
-        self.meter.observe_peak(base + int(per_edge_total.max()))
+        # Space peak over the per-edge gauge totals.
+        meter, bits = self.meter, self._edge_bits
+        a0, c0 = meter.gauge("A sketches"), meter.gauge("C sketches")
+        base = meter.current_bits - meter.gauge("buffer B") - a0 - c0
+        per_edge_total = a0 + c0 + (np.cumsum(stored_delta) + lengths) * bits
+        meter.observe_peak(base + int(per_edge_total.max()))
         # Zero the varying gauges before the final update: setting one
         # gauge to its new value while another still holds the pre-block
-        # value would register a transient total the scalar path never
+        # value would register a transient total no per-edge update
         # reaches.
-        self.meter.set_gauge("buffer B", 0)
-        self.meter.set_gauge("A sketches", 0)
-        self.meter.set_gauge("C sketches", 0)
-        self._update_space()
+        for name in ("buffer B", "A sketches", "C sketches"):
+            meter.set_gauge(name, 0)
+        meter.set_gauge("buffer B", len(self._buffer) * bits)
+        meter.set_gauge("A sketches", a0 + a_added * bits)
+        meter.set_gauge("C sketches", c0 + c_added * bits)
 
     # ------------------------------------------------------------------
     def query(self) -> dict[int, int]:
@@ -291,12 +235,11 @@ class RobustColoring(OnePassAlgorithm):
         p = self.params
         coloring: dict[int, int] = {}
         next_free_color = 1
-        fast = {
-            v
-            for v in range(self.n)
-            if self._buffer_degree[v] > p.fast_threshold
-        }
+        fast = set(
+            np.flatnonzero(self._buffer_degree > p.fast_threshold).tolist()
+        )
         slow = [v for v in range(self.n) if v not in fast]
+        degree = self._degree.tolist()
         # --- slow zone: h_curr blocks on A_curr | B (see module docstring) ---
         h_curr = self._h[min(self._curr, p.num_epochs) - 1]
         a_curr = (
@@ -326,7 +269,7 @@ class RobustColoring(OnePassAlgorithm):
             members = [
                 v
                 for v in fast
-                if self._level_of_degree(self._degree[v]) == level
+                if self._level_of_degree(degree[v]) == level
             ]
             if not members:
                 continue

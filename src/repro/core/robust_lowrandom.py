@@ -20,13 +20,11 @@ A failed query (all ``D_{curr,j}`` invalidated) raises
 
 import numpy as np
 
-from repro.common.exceptions import AlgorithmFailure, ReproError
+from repro.common.exceptions import ReproError
 from repro.common.integer_math import ceil_log2, floor_log2, next_prime
 from repro.common.rng import SeededRng
-from repro.graph.coloring import greedy_coloring
-from repro.graph.graph import Graph
 from repro.hashing.kindependent import PolynomialHashFamily
-from repro.streaming.blocks import trim_hash_cache
+from repro.streaming.blocks import sketch_process_block, sketch_query
 from repro.streaming.model import OnePassAlgorithm
 
 
@@ -67,7 +65,6 @@ class LowRandomnessRobustColoring(OnePassAlgorithm):
         self.meter.charge_random_bits(
             delta * self.repetitions * self.family.seed_bits()
         )
-        self._prime = prime
         # D_{i,j}: list of edges, or None once invalidated.
         self._d_sets: list[list] = [
             [[] for _ in range(self.repetitions)] for _ in range(delta + 2)
@@ -76,99 +73,17 @@ class LowRandomnessRobustColoring(OnePassAlgorithm):
         self._curr = 1
         self._hash_cache: dict[int, np.ndarray] = {}
         self._edge_bits = 2 * ceil_log2(max(2, n))
-        self._update_space()
 
     # ------------------------------------------------------------------
-    def _hash_all(self, x: int) -> np.ndarray:
-        """Values ``h_{i,j}(x)`` for all (i, j) at once, cached per vertex.
-
-        Horner evaluation of all ``Delta * P`` degree-3 polynomials,
-        vectorized; the cache is a simulation speedup only (the real
-        algorithm re-evaluates from the stored O(log n)-bit seeds).
-        """
-        cached = self._hash_cache.get(x)
-        if cached is None:
-            c = self._coeffs  # shape (delta, P, 4), low-to-high degree
-            acc = np.zeros(c.shape[:2], dtype=np.int64)
-            for d in range(3, -1, -1):
-                acc = (acc * x + c[:, :, d]) % self._prime
-            cached = acc % self.range_size
-            self._hash_cache[x] = cached
-            trim_hash_cache(self._hash_cache)
-        return cached
-
-    def _update_space(self) -> None:
-        stored = sum(
-            len(dj)
-            for di in self._d_sets
-            for dj in di
-            if dj is not None
-        )
-        self.meter.set_gauge("D sketches", stored * self._edge_bits)
-        self.meter.set_gauge("buffer B", len(self._buffer) * self._edge_bits)
-
-    # ------------------------------------------------------------------
-    def process(self, u: int, v: int) -> None:
-        # Lines 6-8: buffer roll.
-        if len(self._buffer) == self.n:
-            self._buffer = []
-            self._curr += 1
-        self._buffer.append((u, v))
-        # Lines 9-14: future epochs' sketches.
-        hu = self._hash_all(u)
-        hv = self._hash_all(v)
-        # Monochromatic (i, j) pairs are rare (probability 1/l^2 each), so
-        # find them vectorized and only touch those sketches.
-        mono_i, mono_j = np.nonzero(hu == hv)
-        for i, j in zip(mono_i + 1, mono_j):
-            if not self._curr + 1 <= i <= self.delta:
-                continue
-            d_i = self._d_sets[i]
-            d_ij = d_i[j]
-            if d_ij is None:
-                continue
-            if len(d_ij) < self.overflow_cap:
-                d_ij.append((u, v))
-            else:
-                d_i[j] = None  # wipe if it grows too large (line 14)
-        self._update_space()
-
     def process_block(self, edges: np.ndarray) -> None:
-        """Vectorized :meth:`process` over a ``(k, 2)`` block (bit-identical)."""
-        from repro.streaming.blocks import sketch_process_block
-
+        """Lines 6-14: roll the buffer, fill the future epochs' sketches."""
         sketch_process_block(
             self, edges, num_epochs=self.delta, capacity=self.n
         )
 
-    # ------------------------------------------------------------------
     def query(self) -> dict[int, int]:
-        # Line 15: first surviving repetition for the current epoch.
-        if self._curr <= self.delta:
-            d_curr = self._d_sets[self._curr]
-        else:
-            d_curr = [[] for _ in range(self.repetitions)]
-        k = next((j for j, d in enumerate(d_curr) if d is not None), None)
-        if k is None:
-            raise AlgorithmFailure(
-                f"all {self.repetitions} sketches of epoch {self._curr} overflowed"
-            )
-        # Line 16: greedy coloring of D_{curr,k} | B.
-        edges = list(d_curr[k]) + self._buffer
-        graph = Graph(self.n)  # repro: noqa[R3] sketch contents, not the stream
-        for u, v in edges:
-            if not graph.has_edge(u, v):
-                graph.add_edge(u, v)
-        chi = greedy_coloring(graph)
-        # Line 17: output (chi(y), h_{curr,k}(y)) flattened to one integer.
-        if self._curr <= self.delta:
-            h_row = lambda y: int(self._hash_all(y)[self._curr - 1][k])  # noqa: E731
-        else:
-            h_row = lambda y: 0  # noqa: E731
-        coloring = {}
-        for y in range(self.n):
-            coloring[y] = (chi[y] - 1) * self.range_size + h_row(y) + 1
-        return coloring
+        """Lines 15-17: color ``D_{curr,k} | B``, pair it with ``h_{curr,k}``."""
+        return sketch_query(self, num_epochs=self.delta)
 
     # ------------------------------------------------------------------
     @property

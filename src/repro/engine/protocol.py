@@ -8,7 +8,7 @@ baselines) satisfies this structural protocol: it owns a
 view) and return a total coloring, and it declares its palette bound (or
 ``None`` when the guarantee is only asymptotic).  The concrete method implementations live on the two abstract
 bases in :mod:`repro.streaming.model`; one-pass (adversarially robust)
-algorithms additionally expose ``process``/``query`` for the adaptive game,
+algorithms additionally expose ``process_block``/``query`` for the adaptive game,
 which :func:`repro.engine.run_game` drives.
 
 The engine — :func:`repro.engine.run`, the :class:`AlgorithmRegistry`, and

@@ -177,13 +177,7 @@ class RunSpec:
 
 @dataclass(frozen=True)
 class GameSpec:
-    """One adaptive-game run (Section 2 insert/query model).
-
-    ``batch_size`` groups consecutive adversary insertions into one
-    ``process_block`` call (``None`` = up to the next query boundary,
-    ``1`` = the legacy per-edge ``process`` path); outcomes are identical
-    either way.
-    """
+    """One adaptive-game run (Section 2 insert/query model)."""
 
     algorithm: str
     n: int
@@ -193,7 +187,6 @@ class GameSpec:
     adversary: str = "conflict"
     adversary_seed: int | None = None
     query_every: int = 1
-    batch_size: int | None = None
     config: dict = field(default_factory=dict)
     tags: dict = field(default_factory=dict)
 
@@ -650,7 +643,7 @@ def run_game(
         start = perf_now()
         outcome = run_adversarial_game(
             algo, adversary, n=spec.n, delta=spec.delta, rounds=spec.rounds,
-            query_every=spec.query_every, batch_size=spec.batch_size,
+            query_every=spec.query_every,
         )
         wall_time = perf_now() - start
         kernel_tier = active_kernel_tier()
@@ -658,7 +651,6 @@ def run_game(
 
     extras = {
         "kernel_tier": kernel_tier,
-        "batch_size": spec.batch_size,
         "rounds": outcome.rounds,
         "errors": outcome.errors,
         "failures": outcome.failures,

@@ -92,7 +92,7 @@ class PolynomialHashFamily:
         Draws ``prod(shape) * k`` uniform coefficients from ``rng.np`` in
         one call — the vectorized counterpart of calling :meth:`sample`
         per member.  The random-bit accounting is unchanged: callers charge
-        ``seed_bits()`` per member exactly as on the scalar path.
+        ``seed_bits()`` per member, as for :meth:`sample`.
         """
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
         return rng.np.integers(0, self.p, size=shape + (self.k,), dtype=np.int64)

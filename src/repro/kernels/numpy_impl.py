@@ -82,7 +82,7 @@ def sketch_event_filter(cmp_rows: np.ndarray, inv_u: np.ndarray,
     block's unique vertices (int32 or int64); ``inv_u`` / ``inv_v`` map
     edge ``t`` to its endpoints' rows.  Returns three int64 arrays
     ``(ev_e, ev_i, ev_j)`` in row-major order — by edge, then epoch, then
-    repetition — exactly the order the scalar path discovers events in.
+    repetition — the order in which the sketches apply them.
 
     Detection runs in edge sub-batches to bound the ``(k, epochs, reps)``
     boolean temporary, matching the original ``sketch_process_block``

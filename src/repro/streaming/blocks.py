@@ -1,20 +1,23 @@
-"""Shared helpers for vectorized ``process_block`` implementations.
+"""Shared helpers for the one-pass algorithms' ``process_block``.
 
 The sketch-based one-pass algorithms (Algorithms 2 and 3, the [CGS22]
 baseline, the one-shot strawman) all follow the same shape: a buffer that
 rolls when it reaches capacity, rare "monochromatic" sketch events found
 by comparing hash values of the two endpoints, and per-edge space-gauge
-updates.  Their block paths replay a whole ``(k, 2)`` edge array at once;
-these helpers compute the sequential bookkeeping (buffer epochs, running
-degrees, cached hash rows) in closed form so each algorithm's
-``process_block`` stays a thin, vectorized transcription of its scalar
-``process``.
+updates.  ``process_block`` consumes a whole ``(k, 2)`` edge array at
+once; these helpers compute the sequential bookkeeping (buffer epochs,
+running degrees, cached hash rows) in closed form.  The two D-sketch
+algorithms share their whole update (:func:`sketch_process_block`) and
+query (:func:`sketch_query`).
 """
 
 
-from repro.common.exceptions import ParameterError
-from repro.kernels import dispatch
 import numpy as np
+
+from repro.common.exceptions import AlgorithmFailure, ParameterError
+from repro.graph.coloring import greedy_coloring
+from repro.graph.graph import Graph
+from repro.kernels import dispatch
 
 __all__ = [
     "HASH_ROW_CACHE_MAX",
@@ -23,6 +26,7 @@ __all__ = [
     "group_pairs",
     "running_degrees",
     "sketch_process_block",
+    "sketch_query",
     "trim_hash_cache",
 ]
 
@@ -79,7 +83,7 @@ def running_degrees(deg0: np.ndarray, edges: np.ndarray):
 
     ``deg0`` is the degree array entering the block.  Returns a ``(k, 2)``
     int64 array where row ``e`` holds the degrees of ``edges[e]`` after
-    the first ``e`` insertions of the block — the value the scalar path's
+    the first ``e`` insertions of the block — the value edge ``e``'s
     degree-cap check reads.  Degrees *after* edge ``e`` are this plus 1.
     The rank computation runs through the kernel-dispatch layer.
     """
@@ -109,13 +113,11 @@ def cached_hash_rows(cache: dict, keys: np.ndarray, compute,
     ``keys`` is a 1-d int64 array (typically the unique vertices of a
     block); ``compute(missing)`` evaluates the hash family for an array of
     missing keys at once, returning ``(len(missing), ...)`` values.  The
-    cache maps ``int key -> row array`` — the same structure the scalar
-    ``_hash_all`` paths maintain, so both paths share one cache.  The
-    cache is bounded: after the block's rows are gathered, this block's
-    keys are refreshed to the back of the insertion order and anything
-    beyond ``max_entries`` is evicted oldest-first
-    (:func:`trim_hash_cache`), so adversarial-game sessions of any length
-    hold at most ``max_entries`` rows.
+    cache maps ``int key -> row array`` and is bounded: after the block's
+    rows are gathered, this block's keys are refreshed to the back of the
+    insertion order and anything beyond ``max_entries`` is evicted
+    oldest-first (:func:`trim_hash_cache`), so adversarial-game sessions
+    of any length hold at most ``max_entries`` rows.
     """
     missing = [x for x in keys.tolist() if x not in cache]
     if missing:
@@ -135,19 +137,19 @@ def cached_hash_rows(cache: dict, keys: np.ndarray, compute,
 
 def sketch_process_block(algo, edges: np.ndarray, *, num_epochs: int,
                          capacity: int) -> None:
-    """Vectorized ``process_block`` for the D-sketch algorithms.
+    """``process_block`` of the D-sketch algorithms.
 
     Shared by Algorithm 3 (:class:`~repro.core.robust_lowrandom.
-    LowRandomnessRobustColoring`) and the [CGS22] baseline, whose scalar
-    ``process`` differs only in parameters: roll the buffer at
+    LowRandomnessRobustColoring`) and the [CGS22] baseline, which differ
+    only in parameters.  Per edge, in stream order: roll the buffer at
     ``capacity``, hash both endpoints under every ``(epoch, repetition)``
     polynomial, and append the rare monochromatic edges to the live future
     sketches ``D_{i, j}`` (wiping any that exceed ``algo.overflow_cap``).
 
-    The state evolution — sketch contents, buffer, epoch counter, and the
-    :class:`~repro.common.space.SpaceMeter` peak that the scalar path
-    reaches via per-edge ``_update_space`` calls — is bit-identical to the
-    equivalent ``process`` sequence.
+    The sequential bookkeeping is reconstructed in closed form, so the
+    state — sketch contents, buffer, epoch counter, and the
+    :class:`~repro.common.space.SpaceMeter` peak over the per-edge gauge
+    totals — does not depend on how the stream is split into blocks.
     """
     k = len(edges)
     if k == 0:
@@ -156,14 +158,11 @@ def sketch_process_block(algo, edges: np.ndarray, *, num_epochs: int,
     rolls, lengths = buffer_timeline(start_len, capacity, k)
     curr0 = algo._curr
     curr_at = curr0 + rolls
-    stored0 = sum(
-        len(dj) for di in algo._d_sets for dj in di if dj is not None
-    )
-    # Hash rows for this block's vertices (shared dict cache with the
-    # scalar path), then monochromatic (edge, epoch, repetition) events,
-    # computed in edge sub-batches to bound the (k, epochs, reps)
-    # temporary.  Hash values are tiny (< family.m), so detection compares
-    # narrow copies to halve memory traffic.
+    # Hash rows for this block's vertices (shared dict cache), then
+    # monochromatic (edge, epoch, repetition) events, computed in edge
+    # sub-batches to bound the (k, epochs, reps) temporary.  Hash values
+    # are tiny (< family.m), so detection compares narrow copies to halve
+    # memory traffic.
     uniq, inv = np.unique(edges, return_inverse=True)
     rows = cached_hash_rows(
         algo._hash_cache, uniq,
@@ -177,30 +176,19 @@ def sketch_process_block(algo, edges: np.ndarray, *, num_epochs: int,
         np.ascontiguousarray(inv[:, 0]),
         np.ascontiguousarray(inv[:, 1]),
     )
-    # Pre-filter the two state-independent conditions vectorized: the
-    # epoch window (line "for i in curr+1..") and already-dead sketches.
-    # The cap/wipe logic on what survives stays sequential (and rare).
-    reps = algo._coeffs.shape[1]
-    alive = np.ones((num_epochs + 1, reps), dtype=bool)
-    for epoch in range(1, num_epochs + 1):
-        d_epoch = algo._d_sets[epoch]
-        for j in range(reps):
-            alive[epoch, j] = d_epoch[j] is not None
+    # Only future epochs' sketches receive the edge (line "for i in
+    # curr+1..").
     epochs = ev_i + 1
-    keep = (
-        (epochs <= num_epochs)
-        & (epochs >= curr_at[ev_e] + 1)
-        & alive[np.minimum(epochs, num_epochs), ev_j]
-    )
+    keep = (epochs <= num_epochs) & (epochs >= curr_at[ev_e] + 1)
     ev_e, ev_i, ev_j = ev_e[keep], ev_i[keep], ev_j[keep]
-    # Apply the surviving events sequentially (identical order to the
-    # scalar path: by edge, then epoch, then repetition).
+    # Apply the events sequentially, by edge, then epoch, then repetition:
+    # the cap/wipe outcome depends on the order.
     stored_delta = np.zeros(k, dtype=np.int64)
     edges_list = edges.tolist()
     for e, i, j in zip(ev_e.tolist(), ev_i.tolist(), ev_j.tolist()):
         d_i = algo._d_sets[i + 1]
         d_ij = d_i[j]
-        if d_ij is None:  # wiped earlier in this very block
+        if d_ij is None:  # wiped
             continue
         if len(d_ij) < algo.overflow_cap:
             u, v = edges_list[e]
@@ -215,26 +203,54 @@ def sketch_process_block(algo, edges: np.ndarray, *, num_epochs: int,
     else:
         algo._buffer.extend(tuple(p) for p in edges_list)
     algo._curr = curr0 + int(rolls[-1])
-    # Space peak: the scalar path updates gauges after every edge; the
-    # per-edge totals are reconstructed in closed form instead.  The
-    # scalar ``_update_space`` sets the D gauge before the buffer gauge,
-    # so at a roll its transient total pairs the new sketch size with the
-    # *pre-roll* buffer — reproduced here via the running maximum of the
-    # adjacent buffer lengths.
+    # Space peak over the per-edge gauge updates, which set the D gauge
+    # before the buffer gauge: at a roll the transient total pairs the
+    # new sketch size with the *pre-roll* buffer, hence the running
+    # maximum of adjacent buffer lengths.
     prev_lengths = np.concatenate(([start_len], lengths[:-1]))
     eff_lengths = np.maximum(lengths, prev_lengths)
-    per_edge_total = (
-        stored0 + np.cumsum(stored_delta) + eff_lengths
-    ) * algo._edge_bits
-    base = (
-        algo.meter.current_bits
-        - algo.meter.gauge("D sketches")
-        - algo.meter.gauge("buffer B")
-    )
-    algo.meter.observe_peak(base + int(per_edge_total.max()))
+    meter, bits = algo.meter, algo._edge_bits
+    d0 = meter.gauge("D sketches")
+    base = meter.current_bits - d0 - meter.gauge("buffer B")
+    stored_bits = d0 + np.cumsum(stored_delta) * bits
+    meter.observe_peak(base + int((stored_bits + eff_lengths * bits).max()))
     # Zero the varying gauges before the final update: setting one gauge
     # to its new value while the other still holds the pre-block value
-    # would register a transient total the scalar path never reaches.
-    algo.meter.set_gauge("D sketches", 0)
-    algo.meter.set_gauge("buffer B", 0)
-    algo._update_space()
+    # would register a transient total no per-edge update reaches.
+    meter.set_gauge("D sketches", 0)
+    meter.set_gauge("buffer B", 0)
+    meter.set_gauge("D sketches", int(stored_bits[-1]))
+    meter.set_gauge("buffer B", len(algo._buffer) * bits)
+
+
+def sketch_query(algo, num_epochs: int) -> dict[int, int]:
+    """``query`` of the D-sketch algorithms (Algorithm 3, [CGS22]).
+
+    Greedily ``(Delta+1)``-color ``D_{curr,k} | B`` for the first
+    surviving repetition ``k`` and output the pair ``(chi(y),
+    h_{curr,k}(y))`` flattened to one integer in ``[1, (Delta+1) m]``
+    (``m = algo.family.m``).  Raises :class:`AlgorithmFailure` when every
+    sketch of the current epoch overflowed.
+    """
+    n, m, curr = algo.n, algo.family.m, algo._curr
+    if curr <= num_epochs:
+        d_curr = algo._d_sets[curr]
+    else:
+        d_curr = [[] for _ in range(algo.repetitions)]
+    k = next((j for j, d in enumerate(d_curr) if d is not None), None)
+    if k is None:
+        raise AlgorithmFailure(
+            f"all {algo.repetitions} sketches of epoch {curr} overflowed"
+        )
+    graph = Graph(n)  # sketch contents and buffer, not the stream
+    for u, v in list(d_curr[k]) + algo._buffer:
+        if not graph.has_edge(u, v):
+            graph.add_edge(u, v)
+    chi = greedy_coloring(graph)
+    if curr <= num_epochs:
+        h_row = algo.family.eval_coeffs(
+            algo._coeffs[curr - 1, k], np.arange(n, dtype=np.int64)
+        ).tolist()
+    else:
+        h_row = [0] * n
+    return {y: (chi[y] - 1) * m + h_row[y] + 1 for y in range(n)}

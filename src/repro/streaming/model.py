@@ -122,33 +122,26 @@ class MultipassStreamingAlgorithm(SnapshotableAlgorithm, abc.ABC):
 class OnePassAlgorithm(SnapshotableAlgorithm, abc.ABC):
     """A single-pass algorithm playing the adversarial game of Section 2.
 
-    The adversary (or a static driver) calls :meth:`process` for each edge
-    insertion and may call :meth:`query` at any time; ``query`` must return
-    a proper coloring of all edges processed so far.
+    The adversary (or a static driver) inserts edges and may call
+    :meth:`query` at any time; ``query`` must return a proper coloring of
+    all edges processed so far.
 
-    :meth:`process_block` is the batched twin of :meth:`process`: a
-    ``(k, 2)`` array of insertions, consumed in order.  Every registered
-    algorithm overrides it with a vectorized implementation whose state
-    evolution is bit-identical to the scalar loop, which both the static
-    driver and the batched adversarial game rely on; the scalar
-    :meth:`process` remains the adaptive game's per-edge model.
+    :meth:`process_block` is the one update: a ``(k, 2)`` array of
+    insertions, consumed in order, whose resulting state (colorings,
+    space peaks, randomness) is the same however the stream is split
+    into blocks.  :meth:`process` is Section 2's per-insertion interface,
+    a one-row block.
     """
 
     supports_checkpoint = True
 
-    @abc.abstractmethod
     def process(self, u: int, v: int) -> None:
         """Consume the next edge insertion ``{u, v}``."""
+        self.process_block(np.array([[u, v]], dtype=np.int64))
 
+    @abc.abstractmethod
     def process_block(self, edges: np.ndarray) -> None:
-        """Consume a ``(k, 2)`` block of edge insertions, in order.
-
-        Default: the scalar :meth:`process` loop.  Overrides must evolve
-        the exact same state (colorings, space gauges, randomness) as the
-        equivalent sequence of :meth:`process` calls.
-        """
-        for u, v in np.asarray(edges).tolist():
-            self.process(u, v)
+        """Consume a ``(k, 2)`` int64 block of edge insertions, in order."""
 
     @abc.abstractmethod
     def query(self) -> dict[int, int]:

@@ -21,8 +21,9 @@ class PerfectOfflineAlgorithm(OnePassAlgorithm):
         super().__init__()
         self._graph = Graph(n)
 
-    def process(self, u, v):
-        self._graph.add_edge(u, v)
+    def process_block(self, edges):
+        for u, v in edges.tolist():
+            self._graph.add_edge(u, v)
 
     def query(self):
         from repro.graph.coloring import greedy_coloring
@@ -38,7 +39,7 @@ class ConstantAlgorithm(OnePassAlgorithm):
         super().__init__()
         self._n = n
 
-    def process(self, u, v):
+    def process_block(self, edges):
         pass
 
     def query(self):
@@ -131,6 +132,13 @@ class TestGameLoop:
         adv = RandomAdversary(seed=7)
         result = run_adversarial_game(algo, adv, n=10, delta=3, rounds=9, query_every=3)
         assert result.clean
+
+    @pytest.mark.parametrize("query_every", [0, -1])
+    def test_nonpositive_query_every_rejected(self, query_every):
+        algo = PerfectOfflineAlgorithm(10)
+        with pytest.raises(AdversaryError, match="query_every"):
+            run_adversarial_game(algo, RandomAdversary(seed=7), n=10, delta=3,
+                                 rounds=9, query_every=query_every)
 
     def test_result_dataclass(self):
         r = GameResult(rounds=5, errors=0)

@@ -12,7 +12,7 @@ same palette usage.
 import pytest
 
 from repro.common.exceptions import ReproError
-from repro.engine import REGISTRY, GameSpec, RunSpec, run, run_game
+from repro.engine import REGISTRY, RunSpec, run
 from repro.kernels import compiled_available
 from repro.streaming.model import OnePassAlgorithm
 from token_reference import (
@@ -62,14 +62,17 @@ class TestBlockPathEquivalence:
         assert {c[0] for c in CASES} == set(REGISTRY.names())
 
     def test_every_onepass_algorithm_overrides_process_block(self):
-        # Static runs and the batched game feed blocks; no one-pass
-        # algorithm may fall back to the default scalar process() loop.
+        # process_block is the only update: every one-pass algorithm
+        # implements it, and none carries a second, per-edge process().
+        assert "process_block" in OnePassAlgorithm.__abstractmethods__
         for entry in REGISTRY:
             if entry.kind == "onepass":
-                algo = entry.create(n=16, delta=3, seed=0)
-                assert (
-                    type(algo).process_block is not OnePassAlgorithm.process_block
-                ), f"{entry.name} uses the default scalar process_block"
+                cls = type(entry.create(n=16, delta=3, seed=0))
+                assert "process_block" in vars(cls), entry.name
+                assert all(
+                    "process" not in vars(klass)
+                    for klass in cls.__mro__ if klass is not OnePassAlgorithm
+                ), f"{entry.name} defines its own process()"
 
     def test_edge_only_backends_match_the_corpus(self):
         # Both selections; every edge-only block source.
@@ -228,49 +231,3 @@ class TestKernelTierEquivalence:
         )
         hits = r.extras["kernel_hits"]
         assert hits and all(v > 0 for v in hits.values())
-
-
-class TestAdversarialGameBatching:
-    """Batched ``process_block`` games must match the per-edge path exactly."""
-
-    def game_fingerprint(self, result):
-        extras = dict(result.extras)
-        extras.pop("batch_size")
-        # Kernel-dispatch observability: the scalar (batch_size=1) path
-        # never reaches the block kernels, so hit counts legitimately
-        # differ while every algorithmic field stays identical.
-        extras.pop("kernel_hits", None)
-        return (
-            result.colors_used,
-            result.proper,
-            result.peak_space_bits,
-            result.random_bits,
-            extras,
-        )
-
-    @pytest.mark.parametrize("algorithm,n,delta", [
-        ("robust", 48, 6),
-        ("robust_lowrandom", 48, 6),
-        ("cgs22", 32, 4),
-        ("naive", 48, 6),
-    ])
-    def test_batched_matches_scalar_under_fixed_seed(self, algorithm, n, delta):
-        for adversary in ("conflict", "random"):
-            outcomes = []
-            for batch_size in (1, None, 3):
-                result = run_game(GameSpec(
-                    algorithm=algorithm, n=n, delta=delta, rounds=2 * n,
-                    seed=5, adversary=adversary, query_every=8,
-                    batch_size=batch_size,
-                ))
-                outcomes.append(self.game_fingerprint(result))
-            assert outcomes[0] == outcomes[1] == outcomes[2], (
-                algorithm, adversary
-            )
-
-    def test_bad_batch_size_rejected(self):
-        from repro.common.exceptions import AdversaryError
-
-        with pytest.raises(AdversaryError):
-            run_game(GameSpec(algorithm="robust", n=8, delta=2, rounds=4,
-                              batch_size=0))

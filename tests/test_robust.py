@@ -11,10 +11,14 @@ from repro.adversaries import (
     StaticStreamAdversary,
     run_adversarial_game,
 )
+from dataclasses import replace
+
 from repro.common.exceptions import ReproError
 from repro.core.robust import RobustColoring, RobustParameters
+from repro.engine import REGISTRY, AlgorithmRegistry, RunSpec, run
 from repro.graph.generators import random_max_degree_graph
-from repro.streaming.stream import stream_from_graph
+from repro.streaming.tokens import edge_tokens
+from repro.streaming.stream import TokenStream, stream_from_graph
 
 
 class TestParameters:
@@ -65,6 +69,47 @@ class TestStaticStreams:
         algo.process(0, 1)
         with pytest.raises(ReproError):
             algo.process(0, 2)  # vertex 0 already at degree Delta=1
+
+    @staticmethod
+    def _refused_run(edges, n, delta, chunk_size):
+        """``engine.run`` over ``edges``; returns (error, algorithm)."""
+        created = []
+        entry = REGISTRY.get("robust")
+
+        def factory(*args):
+            created.append(entry.factory(*args))
+            return created[-1]
+
+        registry = AlgorithmRegistry([replace(entry, factory=factory)])
+        spec = RunSpec(algorithm="robust", n=n, delta=delta, seed=3,
+                       chunk_size=chunk_size)
+        with pytest.raises(ReproError, match="promised max degree") as info:
+            run(spec, stream=TokenStream(edge_tokens(edges), n),
+                registry=registry)
+        return str(info.value), created[0]
+
+    def test_degree_cap_refusal_is_independent_of_chunk_size(self):
+        n, delta = 24, 4
+        legal = random_max_degree_graph(n, delta, seed=8).edge_list()
+        full = next(v for v in range(n)
+                    if sum(v in e for e in legal) == delta)
+        other = next(w for w in range(n) if w != full
+                     and (full, w) not in legal and (w, full) not in legal)
+        # Past the buffer capacity (n), so the refusal follows a roll.
+        assert len(legal) > n
+        edges = legal + [(full, other), (0, 1), (2, 3)]
+        states = []
+        for chunk_size in (1, 3, 8192):
+            message, algo = self._refused_run(edges, n, delta, chunk_size)
+            assert f"edge ({full},{other})" in message
+            assert algo._edges_seen == len(legal)
+            states.append((
+                message, list(algo._degree), list(algo._buffer_degree),
+                algo._a_sets, algo._c_sets, algo._buffer, algo._curr,
+                algo.peak_space_bits, algo.meter.current_bits,
+            ))
+        assert states[0] == states[1] == states[2]
+        assert states[0][3] or states[0][4]  # the sketches hold edges
 
     def test_query_before_any_edge(self):
         algo = RobustColoring(10, 3, seed=2)

@@ -30,8 +30,9 @@ byte::
 
     PYTHONPATH=src python tests/token_reference.py
 
-The ``game`` group is generated from the per-edge scalar ``process``
-path (``batch_size=1``).
+The ``game`` group was generated from the retired per-edge scalar
+``process`` path; games now feed every insertion through
+``process_block``.
 """
 
 import hashlib
@@ -76,9 +77,9 @@ GAME_ADVERSARIES = ("conflict", "random")
 GAME_QUERY_EVERY = (1, 8)
 GAME_SEEDS = (5, 17)
 
-#: Game extras left out of the fingerprint: how the edges were fed and
+#: Game extras left out of the fingerprint: how the edges were
 #: dispatched, not what the algorithm computed.
-GAME_EXCLUDED_EXTRAS = ("kernel_tier", "kernel_hits", "batch_size")
+GAME_EXCLUDED_EXTRAS = ("kernel_tier", "kernel_hits")
 
 
 def make_case(algorithm, n, delta, seed, config, **extra) -> dict:
@@ -186,7 +187,7 @@ def game_digest(result) -> str:
 def run_game_case(case: dict):
     from repro.engine import GameSpec, run_game
 
-    return run_game(GameSpec(**case, batch_size=1))
+    return run_game(GameSpec(**case))
 
 
 def run_case(case: dict, stream_backend: str, chunk_size):
