@@ -23,21 +23,57 @@ from repro.common.exceptions import ReproError
 from repro.common.integer_math import ceil_div, ceil_log2
 from repro.common.rng import SeededRng
 from repro.graph.coloring import greedy_coloring
+from repro.streaming.machine import PassConsumer, require_machine
 from repro.streaming.model import MultipassStreamingAlgorithm, OnePassAlgorithm
-from repro.streaming.source import as_block_source
 from repro.obs.clock import perf_now
 
 
 class TrivialColoring(MultipassStreamingAlgorithm):
-    """``n`` distinct colors without reading the stream."""
+    """``n`` distinct colors without reading the stream.
+
+    Its pass machine is done at ``blocks_start``: zero passes.
+    """
 
     def __init__(self, n: int):
         super().__init__()
         self.n = n
         self.palette_size = n
 
-    def run(self, stream) -> dict[int, int]:
-        return {v: v + 1 for v in range(self.n)}
+    def blocks_start(self) -> None:
+        self._mach = {
+            "phase": "done", "coloring": {v: v + 1 for v in range(self.n)},
+        }
+
+    def blocks_consumer(self):
+        return None
+
+    def blocks_deliver(self, result, stream) -> None:
+        pass  # no pass is ever handed out
+
+
+class _StoreConsumer(PassConsumer):
+    """The single collection pass: keep every edge block, build the CSR."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.chunks: list = []
+
+    def feed(self, item) -> None:
+        if isinstance(item, np.ndarray):
+            self.chunks.append(item)
+
+    def finish(self, stream):
+        from repro.graph.csr import CSRGraph
+
+        # The deferred CSR build is charged to the pass it belongs to.
+        reduce_start = perf_now()
+        graph = CSRGraph.from_edge_array(
+            self.n,
+            np.concatenate(self.chunks) if self.chunks
+            else np.empty((0, 2), dtype=np.int64),
+        )
+        stream.pass_seconds[-1] += perf_now() - reduce_start
+        return graph
 
 
 class StoreEverythingColoring(MultipassStreamingAlgorithm):
@@ -53,25 +89,19 @@ class StoreEverythingColoring(MultipassStreamingAlgorithm):
         super().__init__()
         self.n = n
 
-    def run(self, stream) -> dict[int, int]:
-        from repro.graph.csr import CSRGraph
+    def blocks_start(self) -> None:
+        self._mach = {"phase": "store"}
 
-        stream = as_block_source(stream)
-        chunks = [
-            item for item in stream.new_pass() if isinstance(item, np.ndarray)
-        ]
-        # The deferred CSR build is charged to the pass it belongs to.
-        reduce_start = perf_now()
-        graph = CSRGraph.from_edge_array(
-            self.n,
-            np.concatenate(chunks) if chunks
-            else np.empty((0, 2), dtype=np.int64),
-        )
-        stream.pass_seconds[-1] += perf_now() - reduce_start
+    def blocks_consumer(self):
+        if require_machine(self)["phase"] == "store":
+            return _StoreConsumer(self.n)
+        return None
+
+    def blocks_deliver(self, graph, stream) -> None:
         self.meter.set_gauge(
             "whole graph", graph.m * 2 * ceil_log2(max(2, self.n))
         )
-        return greedy_coloring(graph)
+        self._mach = {"phase": "done", "coloring": greedy_coloring(graph)}
 
 
 class OneShotRandomColoring(OnePassAlgorithm):

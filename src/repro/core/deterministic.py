@@ -275,8 +275,6 @@ class DeterministicColoring(MultipassStreamingAlgorithm):
     stored-edges pass) vectorized over ``(k, 2)`` edge blocks.
     """
 
-    supports_checkpoint = True
-
     def __init__(
         self,
         n: int,

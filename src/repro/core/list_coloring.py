@@ -387,8 +387,6 @@ class DeterministicListColoring(MultipassStreamingAlgorithm):
     class table.
     """
 
-    supports_checkpoint = True
-
     def __init__(
         self,
         n: int,

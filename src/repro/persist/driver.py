@@ -78,11 +78,6 @@ class ResumableRun:
         stream = _open_stream(spec, self.entry, self.config, stream)
         self.stream = stream
         self.algo = self.entry.create(spec.n, spec.delta, spec.seed, self.config)
-        if not getattr(self.algo, "supports_checkpoint", False):
-            raise CheckpointError(
-                f"algorithm {self.entry.name!r} does not support "
-                "suspend/restore (no pass machine)"
-            )
         self.algo.blocks_start()
         self._passes_before = stream.passes_used
         self._timings_before = len(stream.pass_seconds)

@@ -2,12 +2,10 @@
 
 A *session* is a long-lived streaming coloring run fed incrementally by a
 client: ``create`` (algorithm + instance spec) → ``feed`` (edge blocks)
-→ ``advance`` (multipass algorithms: one streaming pass at a time) →
-``finalize`` → ``result``.  One-pass algorithms consume blocks the
-moment they arrive — the paper's adversarially robust setting with an
-adversary that interacts with a persistent session across reconnects;
-multipass algorithms buffer the sealed stream and run their passes
-through :class:`repro.persist.driver.ResumableRun`.
+→ ``advance`` (one streaming pass at a time) → ``finalize`` →
+``result``.  Every session buffers its edge log and runs its passes over
+the sealed log through one :class:`repro.persist.driver.ResumableRun`,
+one-pass and multipass algorithms alike.
 
 Layers:
 

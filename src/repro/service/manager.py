@@ -1,22 +1,23 @@
 """The asyncio session manager: many concurrent coloring sessions.
 
-Each :class:`Session` wraps one streaming run over a client-fed edge
-log.  One-pass algorithms are *live*: every fed block goes straight
-through ``process_block``, so the algorithm's sketch/buffer state evolves
-exactly as in the paper's single-pass model while the session stays open
-indefinitely.  Multipass algorithms buffer the log; ``advance`` runs one
-streaming pass over the sealed log per call (via
-:class:`~repro.persist.driver.ResumableRun`), and ``finalize`` drives the
-remaining passes and packages the uniform
-:class:`~repro.engine.result.ColoringResult` — validation, extras, and
-guarantee verification are the engine's own code paths
-(``RunSpec.verify`` applies per session).
+Each :class:`Session` buffers a client-fed edge log; one-pass and
+multipass algorithms alike run on a
+:class:`~repro.persist.driver.ResumableRun` over that log, built on the
+first ``advance`` or ``finalize`` (which seal the log).  ``advance`` runs
+one streaming pass per call — a one-pass algorithm's single pass on the
+first — and ``finalize`` drives the remaining passes and packages the
+uniform :class:`~repro.engine.result.ColoringResult`: validation, extras,
+and guarantee verification are the engine's own code paths
+(``RunSpec.verify`` applies per session), so a session's result is the
+engine's result over the same log.  The service has no query op, so
+feeding a one-pass algorithm block by block would show a client nothing
+more than running it over the sealed log does.
 
 Residency is bounded: beyond ``max_resident`` live sessions the
 least-recently-used idle session is evicted to a ``REPROCK1`` checkpoint
-(algorithm state via the ``Snapshotable`` codec + the edge log) and
-transparently restored on its next touch, so ``max_sessions`` can far
-exceed what fits in memory.  Per-session ``asyncio.Lock``s serialize
+(the run's state, once started, via the ``Snapshotable`` codec + the
+edge log) and transparently restored on its next touch, so
+``max_sessions`` can far exceed what fits in memory.  Per-session ``asyncio.Lock``s serialize
 operations on one session while different sessions interleave at every
 await point.
 """
@@ -128,7 +129,7 @@ def validate_lists(lists, spec, config) -> dict:
 
 
 class Session:
-    """One coloring session: spec, edge log, and live algorithm state."""
+    """One coloring session: spec, edge log, and its run once started."""
 
     def __init__(self, sid: str, spec: RunSpec, entry, config, lists=None):
         self.sid = sid
@@ -139,25 +140,29 @@ class Session:
         self.log: list[np.ndarray] = []
         self.edges_total = 0
         self.sealed = False
-        self.onepass = entry.kind == "onepass"
-        self.algo = None
         self.driver: ResumableRun | None = None
         self.result: ColoringResult | None = None
-        self.feed_seconds = 0.0
         self.lock = asyncio.Lock()
-        if self.onepass:
-            self.algo = entry.create(spec.n, spec.delta, spec.seed, config)
-            self.algo.blocks_start()
 
     # ------------------------------------------------------------------
+    @property
+    def algo(self):
+        """The run's algorithm instance (None until the run starts)."""
+        return self.driver.algo if self.driver is not None else None
+
     @property
     def chunk_size(self) -> int:
         return self.spec.chunk_size or DEFAULT_CHUNK_SIZE
 
     def log_array(self) -> np.ndarray:
-        if not self.log:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.concatenate(self.log)
+        """The log as one array; the blocks collapse into it, so the run's
+        stream and the checkpoints share one copy of the edges."""
+        if len(self.log) != 1:
+            self.log = [
+                np.concatenate(self.log) if self.log
+                else np.empty((0, 2), dtype=np.int64)
+            ]
+        return self.log[0]
 
     def source(self):
         """The session's stream: its (sealed) edge log as a block source.
@@ -188,10 +193,11 @@ class Session:
             "edges": self.edges_total,
             "sealed": self.sealed,
             "finalized": self.result is not None,
-            "onepass": self.onepass,
+            "onepass": self.entry.kind == "onepass",
             "passes": (
-                self.driver.stream.passes_used if self.driver is not None
-                else (1 if self.onepass and self.edges_total else 0)
+                self.result.passes if self.result is not None
+                else self.driver.stream.passes_used if self.driver is not None
+                else 0
             ),
         }
 
@@ -320,7 +326,9 @@ class SessionManager:
     # ------------------------------------------------------------------
     async def create(self, spec_fields: dict, lists=None) -> str:
         """Open a session; returns its id."""
-        spec, entry, config, lists = self._validate_spec(spec_fields, lists)
+        spec, entry, config, lists = validate_spec(
+            self.registry, spec_fields, lists
+        )
         async with self._lock:
             if self._count() >= self.max_sessions:
                 raise ServiceError(
@@ -335,26 +343,19 @@ class SessionManager:
             self._maybe_evict()
         return sid
 
-    def _validate_spec(self, spec_fields: dict, lists):
-        return validate_spec(self.registry, spec_fields, lists)
-
     async def feed(self, sid: str, edges) -> dict:
-        """Append an edge block; one-pass algorithms consume it now."""
+        """Append an edge block to the session's log."""
         async with self._session(sid) as session:
             if session.sealed:
                 raise ServiceError(
                     f"session {sid} is sealed; no further edges accepted"
                 )
-            block = self._validate_edges(edges, session.spec.n)
             start = perf_now()
+            block = self._validate_edges(edges, session.spec.n)
             if len(block):
                 session.log.append(block)
                 session.edges_total += len(block)
-                if session.onepass:
-                    session.algo.process_block(block)
-            elapsed = perf_now() - start
-            session.feed_seconds += elapsed
-            self._obs_feed_seconds.observe(elapsed)
+            self._obs_feed_seconds.observe(perf_now() - start)
         return {"accepted": int(len(block)), "edges_total": session.edges_total}
 
     @staticmethod
@@ -384,51 +385,40 @@ class SessionManager:
         return block
 
     async def advance(self, sid: str) -> dict:
-        """Seal the stream and run one pass (multipass); no-op for one-pass."""
+        """Seal the stream and run its next pass; ``done`` once none is left."""
         async with self._session(sid) as session:
             if session.result is not None:
                 raise ServiceError(f"session {sid} is already finalized")
             session.sealed = True
-            if session.onepass:
-                return {"done": True, **session.status()}
-            driver = self._ensure_driver(session)
-            more = driver.step()
-            return {"done": not more and driver.done, **session.status()}
+            more = self._step(session)
+            return {"done": not more, **session.status()}
 
-    def _ensure_driver(self, session: Session) -> ResumableRun:
+    def _step(self, session: Session) -> bool:
+        """Run the session's next pass; ``False`` once its run is done.
+
+        A pass that raises leaves its algorithm mid-pass, so the run is
+        discarded: a retry starts over on the same log and raises the
+        same error.
+        """
         if session.driver is None:
             session.driver = ResumableRun(
                 session.spec, stream=session.source(), registry=self.registry
             )
-        return session.driver
+        try:
+            return session.driver.step()
+        except Exception:
+            session.driver = None
+            raise
 
     async def finalize(self, sid: str) -> dict:
         """Run the session to completion and return the result record."""
         async with self._session(sid) as session:
             if session.result is None:
                 session.sealed = True
-                if session.onepass:
-                    session.result = self._package_onepass(session)
-                else:
-                    driver = self._ensure_driver(session)
-                    while driver.step():
-                        await asyncio.sleep(0)  # let other sessions interleave
-                    session.result = driver.result()
+                while self._step(session):
+                    await asyncio.sleep(0)  # let other sessions interleave
+                session.result = session.driver.result()
         return session.result.to_dict()
-
-    def _package_onepass(self, session: Session) -> ColoringResult:
-        from repro.engine.runner import _package_result
-
-        algo = session.algo
-        stream = session.source()
-        algo.blocks_deliver(None, stream)  # runs query() exactly once
-        coloring = algo.blocks_result()
-        # The fed log was the run's single streaming pass.
-        stream.seek({"passes": 1})
-        return _package_result(
-            session.spec, session.entry, session.config, stream, algo,
-            coloring, session.feed_seconds, passes_before=0, timings_before=0,
-        )
 
     async def result(self, sid: str) -> dict:
         async with self._session(sid) as session:
@@ -586,25 +576,17 @@ class SessionManager:
             ),
             "edges_total": session.edges_total,
             "sealed": session.sealed,
-            "onepass": session.onepass,
-            "feed_seconds": session.feed_seconds,
             "result": (
                 session.result.to_dict(include_coloring=True)
                 if session.result is not None else None
             ),
-            "algo": None,
             "driver": None,
         }
         arrays = {"edges": session.log_array()}
-        if session.result is None:
-            if session.onepass:
-                state = session.algo.state_dict()
-                header["algo"] = {"class": state["class"], "state": state["state"]}
-                arrays.update(state["arrays"])
-            elif session.driver is not None:
-                driver_header, driver_arrays = session.driver.snapshot()
-                header["driver"] = driver_header
-                arrays.update(driver_arrays)
+        if session.result is None and session.driver is not None:
+            driver_header, driver_arrays = session.driver.snapshot()
+            header["driver"] = driver_header
+            arrays.update(driver_arrays)
         return header, arrays
 
     async def _restore_task(self, sid: str, path: str) -> None:
@@ -642,7 +624,13 @@ class SessionManager:
             self._restoring.pop(sid, None)
 
     def _build_session(self, sid: str, header: dict, arrays: dict) -> Session:
-        """Rebuild a session object from its checkpoint payload."""
+        """Rebuild a session object from its checkpoint payload.
+
+        Checkpoints of sessions fed through a live one-pass algorithm
+        also carry its state under ``"algo"``; their edge log is
+        complete, so the run is rebuilt from the log and that entry is
+        ignored.
+        """
         if header.get("kind") != "session":
             raise ServiceError(
                 f"session {sid}: not a session checkpoint (kind "
@@ -664,16 +652,8 @@ class SessionManager:
             session.log = [np.asarray(edges, dtype=np.int64)]
         session.edges_total = int(header.get("edges_total", 0))
         session.sealed = bool(header.get("sealed", False))
-        session.feed_seconds = float(header.get("feed_seconds", 0.0))
         if header.get("result") is not None:
             session.result = ColoringResult.from_dict(header["result"])
-        elif session.onepass:
-            algo_state = header.get("algo")
-            if algo_state is None:
-                raise ServiceError(
-                    f"session {sid} checkpoint is missing algorithm state"
-                )
-            session.algo.load_state(algo_state, arrays)
         elif header.get("driver") is not None:
             session.driver = ResumableRun.from_snapshot(
                 header["driver"], arrays, stream=session.source(),

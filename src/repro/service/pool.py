@@ -251,11 +251,10 @@ class _WorkerError(ServiceError):
 class _SessionJournal:
     """Everything needed to rebuild one session on a surviving worker."""
 
-    def __init__(self, sid: str, spec_fields: dict, lists, onepass: bool):
+    def __init__(self, sid: str, spec_fields: dict, lists):
         self.sid = sid
         self.spec_fields = dict(spec_fields)
         self.lists = lists  # validated {vertex: sorted colors} or None
-        self.onepass = onepass
         self.blocks: list[np.ndarray] = []  # acknowledged, since last sync
         self.advances = 0  # acknowledged advances since last sync
         self.sealed = False
@@ -703,9 +702,7 @@ class WorkerPool:
             )
         sid = f"s{self._next_id}"
         self._next_id += 1
-        journal = _SessionJournal(
-            sid, spec_fields, lists, entry.kind == "onepass"
-        )
+        journal = _SessionJournal(sid, spec_fields, lists)
         self._journals[sid] = journal
         self._routes[sid] = worker
         self._sid_locks[sid] = asyncio.Lock()
@@ -823,6 +820,7 @@ class WorkerPool:
         journal, lock = self._journal(sid)
         async with lock:
             if journal.finalized:
+                entry = self.registry.get(journal.spec_fields["algorithm"])
                 return {
                     "session": sid,
                     "algorithm": journal.spec_fields["algorithm"],
@@ -831,7 +829,7 @@ class WorkerPool:
                     "edges": journal.edges_total,
                     "sealed": True,
                     "finalized": True,
-                    "onepass": journal.onepass,
+                    "onepass": entry.kind == "onepass",
                     "passes": int(journal.result.get("passes", 0)),
                 }
             worker, local = await self._ensure_routed(sid)

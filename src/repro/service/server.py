@@ -5,7 +5,7 @@ Ops (see :mod:`repro.service.protocol` for framing):
 - ``ping`` — liveness probe;
 - ``create`` — open a session (``spec`` object, optional ``lists``);
 - ``feed`` — append an edge block (``session``, ``edges`` = [[u, v], ...]);
-- ``advance`` — seal the stream and run one pass (multipass algorithms);
+- ``advance`` — seal the stream and run its next pass;
 - ``finalize`` — run to completion; returns the uniform result record;
 - ``result`` — re-fetch a finalized session's result;
 - ``status`` / ``stats`` — per-session and manager-level introspection;

@@ -18,7 +18,6 @@ import abc
 
 import numpy as np
 
-from repro.common.exceptions import CheckpointError
 from repro.common.space import SpaceMeter
 from repro.streaming.machine import OnePassStreamConsumer, drive_blocks, require_machine
 
@@ -40,10 +39,6 @@ class SnapshotableAlgorithm:
 
     #: Attribute names excluded from snapshots (derived caches).
     _snapshot_skip_: tuple = ()
-
-    #: True once the class runs on the resumable pass machine, i.e.
-    #: suspend/restore at block boundaries is supported.
-    supports_checkpoint = False
 
     def __init__(self):
         self.meter = SpaceMeter()
@@ -100,23 +95,17 @@ class MultipassStreamingAlgorithm(SnapshotableAlgorithm, abc.ABC):
         return self.run(stream)
 
     # -- pass-machine protocol (repro.streaming.machine) ----------------
-    # Multipass algorithms implement these to run as a resumable state
-    # machine; the default raises so that only audited classes claim
-    # checkpoint support.
+    @abc.abstractmethod
     def blocks_start(self) -> None:
-        raise CheckpointError(
-            f"{type(self).__name__} does not implement the pass machine"
-        )
+        """Initialize the pass machine."""
 
+    @abc.abstractmethod
     def blocks_consumer(self):
-        raise CheckpointError(
-            f"{type(self).__name__} does not implement the pass machine"
-        )
+        """The consumer for the next pass, or ``None`` once done."""
 
+    @abc.abstractmethod
     def blocks_deliver(self, result, stream) -> None:
-        raise CheckpointError(
-            f"{type(self).__name__} does not implement the pass machine"
-        )
+        """Fold a finished pass's result into the machine state."""
 
 
 class OnePassAlgorithm(SnapshotableAlgorithm, abc.ABC):
@@ -132,8 +121,6 @@ class OnePassAlgorithm(SnapshotableAlgorithm, abc.ABC):
     into blocks.  :meth:`process` is Section 2's per-insertion interface,
     a one-row block.
     """
-
-    supports_checkpoint = True
 
     def process(self, u: int, v: int) -> None:
         """Consume the next edge insertion ``{u, v}``."""

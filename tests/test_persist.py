@@ -272,11 +272,6 @@ class TestSuspendRestoreDifferential:
             )
             assert restored.extras["resumed"] is True
 
-    def test_all_registered_algorithms_support_checkpoint(self):
-        for entry in REGISTRY:
-            algo = entry.create(n=16, delta=3, seed=0)
-            assert getattr(algo, "supports_checkpoint", False), entry.name
-
     def test_list_coloring_with_lists_stream_restores(self, tmp_path):
         # needs_lists uses the materialized (token-backed) plane; the
         # checkpoint must rebuild the identical list assignment from the

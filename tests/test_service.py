@@ -12,10 +12,11 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.common.exceptions import ServiceError
+from repro.common.exceptions import ReproError, ServiceError
 from repro.engine import RunSpec, run
 from repro.graph.zoo import arrange_edges, workload_delta, workload_edges
 from repro.persist import strip_volatile
+from repro.persist.driver import VOLATILE_EXTRAS
 from repro.service import ColoringService, ServiceClient, SessionManager
 from repro.service.protocol import decode_message, encode_message
 
@@ -41,27 +42,91 @@ def engine_reference(algorithm, arranged, n, delta, seed=3, chunk=8192):
     return run(spec, stream=source)
 
 
+def comparable(record: dict) -> dict:
+    """A result record minus wall-clock noise (``strip_volatile`` on dicts)."""
+    record = {k: v for k, v in record.items() if k != "wall_time_s"}
+    record["extras"] = {
+        k: v for k, v in record["extras"].items() if k not in VOLATILE_EXTRAS
+    }
+    return record
+
+
 class TestSessionManager:
-    def test_onepass_session_matches_engine(self):
+    @pytest.mark.parametrize("feed", [1, 13, 500])
+    @pytest.mark.parametrize(
+        "algorithm", ["robust", "robust_lowrandom", "cgs22", "naive"]
+    )
+    def test_onepass_session_matches_engine(self, algorithm, feed):
         arranged, n, delta = zoo_cell()
 
         async def go():
             manager = SessionManager()
+            sid = await manager.create(spec_dict(algorithm, n, delta))
+            for start in range(0, len(arranged), feed):
+                await manager.feed(sid, arranged[start : start + feed].tolist())
+            status = await manager.status(sid)
+            result = await manager.finalize(sid)
+            manager.close()
+            return status, result
+
+        status, result = asyncio.run(go())
+        assert status["onepass"] and status["passes"] == 0
+        assert result["proper"]
+        assert result["passes"] == 1
+        assert result["extras"]["guarantees"]["ok"]
+        ref = engine_reference(algorithm, arranged, n, delta)
+        assert comparable(result) == comparable(ref.to_dict())
+
+    def test_onepass_advance_checkpoint_finalize(self):
+        arranged, n, delta = zoo_cell()
+
+        async def go(checkpoint: bool):
+            manager = SessionManager()
             sid = await manager.create(spec_dict("robust", n, delta))
-            for start in range(0, len(arranged), 13):
-                await manager.feed(sid, arranged[start : start + 13].tolist())
+            await manager.feed(sid, arranged.tolist())
+            status = await manager.advance(sid)  # the single pass
+            assert status["passes"] == 1 and not status["done"]
+            if checkpoint:
+                await manager.checkpoint(sid)
+                assert manager.stats()["resident"] == 0
             result = await manager.finalize(sid)
             manager.close()
             return result
 
-        result = await_result = asyncio.run(go())
-        assert await_result["proper"]
-        assert result["passes"] == 1
-        assert result["extras"]["guarantees"]["ok"]
-        ref = engine_reference("robust", arranged, n, delta)
-        assert result["colors_used"] == ref.colors_used
-        assert result["peak_space_bits"] == ref.peak_space_bits
-        assert result["random_bits"] == ref.random_bits
+        plain = asyncio.run(go(False))
+        restored = asyncio.run(go(True))
+        assert restored["extras"]["resumed"] is True  # the pass is not rerun
+        assert comparable(restored) == comparable(plain)
+        assert plain["passes"] == 1 and plain["proper"]
+
+    def test_degree_violation_raises_at_finalize_like_engine(self):
+        from repro.streaming.source import GeneratorSource
+
+        # A star on 5 vertices breaks the promised max degree 2.
+        star = np.array([[0, 1], [0, 2], [0, 3], [0, 4]], dtype=np.int64)
+        spec = RunSpec(algorithm="robust", n=6, delta=2, seed=1,
+                       verify="strict")
+        with pytest.raises(ReproError) as engine_error:
+            run(spec, stream=GeneratorSource(lambda: star, 6))
+
+        async def go():
+            manager = SessionManager()
+            sid = await manager.create(spec_dict("robust", 6, 2, seed=1))
+            await manager.feed(sid, star.tolist())
+            errors = []
+            for _ in range(2):  # a retry raises the same error again
+                with pytest.raises(ReproError) as error:
+                    await manager.finalize(sid)
+                errors.append(error)
+            status = await manager.status(sid)
+            manager.close()
+            return errors, status
+
+        errors, status = asyncio.run(go())
+        for error in errors:
+            assert type(error.value) is type(engine_error.value)
+            assert str(error.value) == str(engine_error.value)
+        assert status["edges"] == 4 and not status["finalized"]
 
     def test_multipass_session_advances_pass_by_pass(self):
         arranged, n, delta = zoo_cell()
