@@ -34,7 +34,12 @@ from repro.common.exceptions import (
     ServiceBusyError,
     ServiceError,
 )
-from repro.service.protocol import MAX_LINE, decode_message, encode_message
+from repro.service.protocol import (
+    MAX_LINE,
+    decode_message,
+    encode_message,
+    reuse_read_buffer,
+)
 
 __all__ = ["ServiceClient", "build_session_workload", "submit_workload"]
 
@@ -92,6 +97,7 @@ class ServiceClient:
                 reader, writer = await asyncio.open_connection(
                     host, port, limit=MAX_LINE
                 )
+                reuse_read_buffer(writer)
                 return cls(reader, writer, timeout=timeout,
                            busy_retries=busy_retries)
             except OSError as error:

@@ -34,6 +34,7 @@ from repro.service.protocol import (
     decode_message,
     encode_message,
     error_response,
+    reuse_read_buffer,
 )
 
 __all__ = ["ColoringService"]
@@ -126,6 +127,7 @@ class ColoringService:
     # ------------------------------------------------------------------
     async def _serve_stream(self, reader, writer) -> None:
         """One connection: read framed requests until EOF or shutdown."""
+        reuse_read_buffer(writer)
         self._writers.add(writer)
         try:
             while not self.shutdown_event.is_set():

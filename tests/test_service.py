@@ -417,6 +417,30 @@ class TestTcpService:
 
         asyncio.run(go())
 
+    def test_reads_reuse_one_buffer_and_carry_long_lines(self):
+        # Both ends read into one reusable buffer; a feed line longer
+        # than that buffer must still arrive whole.
+        n = 40000
+        path = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
+        assert len(encode_message({"edges": path.tolist()})) > 256 * 1024
+
+        async def go():
+            service, server, port = await self._start()
+            async with await ServiceClient.connect("127.0.0.1", port) as c:
+                protocol = c._writer.transport.get_protocol()
+                assert isinstance(protocol, asyncio.BufferedProtocol)
+                sid = await c.create(spec_dict("cgs22", n, 2, verify=False))
+                fed = await c.feed(sid, path)
+                result = await c.finalize(sid)
+            server.close()
+            await server.wait_closed()
+            service.manager.close()
+            return fed, result
+
+        fed, result = asyncio.run(go())
+        assert fed["accepted"] == n - 1
+        assert result["proper"]
+
     def test_checkpoint_drop_and_result_ops(self, tmp_path):
         arranged, n, delta = zoo_cell(n=24)
 
